@@ -109,6 +109,11 @@ def _op_gradchecks(rng: np.random.Generator, trials: int) -> list[CheckResult]:
         ("mul", lambda: case_binary(T.mul, (3, 4), (3, 4))),
         ("matmul", lambda: case_binary(T.matmul, (3, 4), (4, 2))),
         ("conv2d", lambda: case_binary(T.conv2d, (5, 5, 2), (3, 3, 2, 2))),
+        (
+            "conv2d_stride2",
+            lambda: case_binary(lambda x, w: T.conv2d(x, w, stride=2), (7, 5, 2), (3, 3, 2, 2)),
+        ),
+        ("conv2d_k7", lambda: case_binary(T.conv2d, (6, 6, 2), (7, 7, 2, 1))),
         ("relu", lambda: case_unary(T.relu, (4, 4))),
         ("sigmoid", lambda: case_unary(T.sigmoid, (4, 4))),
         ("softmax", lambda: case_unary(T.softmax, (4, 4))),

@@ -1,7 +1,9 @@
 """Command-line interface: gen-data, train, infer, eval, self-check.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure (NaN detected). RRNET_THREADS caps evaluation parallelism.
+failure (NaN detected). A closed stdout is not an error: the command drops
+its remaining output, finishes and exits 0. RRNET_THREADS caps evaluation
+parallelism.
 """
 
 from __future__ import annotations
@@ -56,6 +58,18 @@ _NET_KEYS = {
     "pma_att_kernel",
     "upsample_mode",
 }
+
+
+def _say(line: str) -> None:
+    """Print one line to stdout. Once its reader has gone (`rrnet ... | head`),
+    stdout is pointed at the null device, so the command still finishes and
+    exits quietly; later lines are dropped."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _build_parser() -> _Parser:
@@ -125,7 +139,7 @@ def _cmd_gen_data(args) -> int:
         dataio.write_pgm(out / msk_rel, s.mask)
         pairs.append((img_rel, msk_rel))
     dataio.write_manifest(out / "manifest.txt", pairs)
-    print(f"wrote {len(samples)} samples under {out}")
+    _say(f"wrote {len(samples)} samples under {out}")
     return EXIT_OK
 
 
@@ -203,11 +217,11 @@ def _cmd_train(args) -> int:
         samples = dataio.load_manifest_samples(args.manifest)
 
     def log_fn(it, loss, lr):
-        print(f"{it}\t{loss:.6f}\t{lr:.3e}")
+        _say(f"{it}\t{loss:.6f}\t{lr:.3e}")
 
     result = train_model(samples, cfg, settings, log_fn=log_fn)
     dataio.save_checkpoint(result.params, cfg, args.out)
-    print(f"saved checkpoint to {args.out}")
+    _say(f"saved checkpoint to {args.out}")
     return EXIT_OK
 
 
@@ -242,7 +256,7 @@ def _cmd_infer(args) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     saliency = dataio.resize_bilinear(pred.map.data, orig_hw)
     dataio.write_pgm(args.output, saliency)
-    print(f"wrote {args.output} ({elapsed_ms:.1f} ms/image)")
+    _say(f"wrote {args.output} ({elapsed_ms:.1f} ms/image)")
     return EXIT_OK
 
 
@@ -266,7 +280,7 @@ def _cmd_eval(args) -> int:
         print(f"warning: '{sample_id}' has no foreground; excluded from F/PR", file=sys.stderr)
     Path(args.report).write_text(report_to_json(report))
     Path(args.prcurve).write_text(pr_curve_csv(report.pr))
-    print(
+    _say(
         f"n={len(report.per_image)} MAE={report.mae:.4f} F={report.f_beta_max:.4f} "
         f"E={report.e_m:.4f} S={report.s_m:.4f}"
     )
@@ -279,9 +293,9 @@ def _cmd_self_check(args) -> int:
     for r in results:
         status = "ok  " if r.ok else "FAIL"
         detail = f"  ({r.detail})" if r.detail else ""
-        print(f"{status} {r.name}{detail}")
+        _say(f"{status} {r.name}{detail}")
         failed += 0 if r.ok else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
+    _say(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 

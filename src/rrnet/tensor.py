@@ -3,6 +3,10 @@
 The engine is deliberately small: it covers exactly the operator set the
 network needs (elementwise arithmetic, matmul, concatenation, reshapes,
 same-padded convolution, the pooling variants and the two activations).
+Convolution is one matmul per kernel tap over shifted views of the padded
+input, in the forward pass and in both gradients, so it never builds a
+window buffer k*k times the size of its input.
+
 Every op records a backward closure on a per-forward tape; calling
 ``backward()`` on a scalar loss walks the tape once and then frees it, so a
 second backward without a fresh forward pass is rejected.
@@ -41,9 +45,6 @@ __all__ = [
     "channel_max",
     "global_vertex_avg",
     "take_rows",
-    "activation",
-    "pool",
-    "tensor_primitive",
 ]
 
 # Sigmoid outputs are clamped into this open interval so downstream logs stay
@@ -549,36 +550,25 @@ def _pad2d(arr: np.ndarray, pt: int, pb: int, pl: int, pr: int) -> np.ndarray:
     return out
 
 
-def _im2col(arr: np.ndarray, k: int, stride: int, pt: int, pb: int, pl: int, pr: int):
-    """Padded sliding windows flattened to (H_out*W_out, Cin*k*k)."""
-    xp = _pad2d(arr, pt, pb, pl, pr)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(0, 1))
-    if stride != 1:
-        win = win[::stride, ::stride]
-    h_out, w_out = win.shape[:2]
-    cin = arr.shape[2]
-    return win.reshape(h_out * w_out, cin * k * k), xp.shape
-
-
-def _conv_raw(arr: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    """Plain same-padded correlation used by the forward pass and by the
-    input-gradient path (which convolves the output gradient with the
-    spatially flipped, channel-swapped kernel)."""
-    h, w, cin = arr.shape
-    k, cout = kernel.shape[0], kernel.shape[3]
-    h_out, pt, pb = _same_pad(h, k, stride)
-    w_out, pl, pr = _same_pad(w, k, stride)
-    col, _ = _im2col(arr, k, stride, pt, pb, pl, pr)
-    wt = kernel.transpose(2, 0, 1, 3).reshape(cin * k * k, cout)
-    return (col @ wt).reshape(h_out, w_out, cout)
+def _tap(di: int, dj: int, h_out: int, w_out: int, stride: int) -> tuple[slice, slice]:
+    """Rows and columns of the padded input that kernel tap (di, dj) reads."""
+    return (
+        slice(di, di + (h_out - 1) * stride + 1, stride),
+        slice(dj, dj + (w_out - 1) * stride + 1, stride),
+    )
 
 
 def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution of an H x W x Cin map with a k x k x Cin x Cout kernel.
 
     stride 1 preserves the spatial size; stride 2 halves it (the backbone's
-    downsampling mode). Internally an im2col buffer turns the convolution
-    into one matmul.
+    downsampling mode). Every kernel size and stride runs the same loop over
+    the k*k taps: each tap is one matmul of a shifted, strided view of the
+    zero-padded input with that tap's Cin x Cout weights, accumulated into the
+    output. The backward pass walks the same taps once: each tap gives its
+    slice of the weight gradient and scatter-adds its share of the input
+    gradient into a padded buffer. The tape holds only the padded input,
+    never a k*k times larger window copy.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 3:
@@ -603,15 +593,14 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     cout = w.shape[3]
     h_out, pt, pb = _same_pad(h, k, stride)
     w_out, pl, pr = _same_pad(wd, k, stride)
-    if k == 1 and stride == 1:
-        col = x.data.reshape(h * wd, cin)  # no padding, no window copy
-    else:
-        col, _ = _im2col(x.data, k, stride, pt, pb, pl, pr)
-    wt = w.data.transpose(2, 0, 1, 3).reshape(cin * k * k, cout)
-    out_data = col @ wt
+    xp = _pad2d(x.data, pt, pb, pl, pr)
+    kernel = w.data
+    taps = [(di, dj, _tap(di, dj, h_out, w_out, stride)) for di in range(k) for dj in range(k)]
+    out_data = np.zeros((h_out, w_out, cout), dtype=np.result_type(xp, kernel))
+    for di, dj, win in taps:
+        out_data += xp[win] @ kernel[di, dj]
     if b is not None:
-        out_data = out_data + b.data
-    out_data = out_data.reshape(h_out, w_out, cout)
+        out_data += b.data
 
     parents = (x, w) if b is None else (x, w, b)
     out_holder: list[Tensor] = []
@@ -619,28 +608,19 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     def backward():
         g = out_holder[0]._grad
         g2 = g.reshape(h_out * w_out, cout)
-        if w.requires_grad:
-            gw = (col.T @ g2).reshape(cin, k, k, cout).transpose(1, 2, 0, 3)
+        gw = np.empty_like(kernel) if w.requires_grad else None
+        gxp = np.zeros_like(xp) if x.requires_grad else None
+        for di, dj, win in taps:
+            if gw is not None:
+                gw[di, dj] = xp[win].reshape(-1, cin).T @ g2
+            if gxp is not None:
+                gxp[win] += (g2 @ kernel[di, dj].T).reshape(h_out, w_out, cin)
+        if gw is not None:
             w._accumulate(gw)
         if b is not None and b.requires_grad:
             b._accumulate(g2.sum(axis=0))
-        if x.requires_grad:
-            if k == 1 and stride == 1:
-                x._accumulate((g2 @ wt.T).reshape(x.shape))
-            elif stride == 1:
-                flipped = np.flip(w.data, axis=(0, 1)).transpose(0, 1, 3, 2)
-                x._accumulate(_conv_raw(np.ascontiguousarray(g), flipped, 1))
-            else:
-                dcol = (g2 @ wt.T).reshape(h_out, w_out, cin, k, k)
-                gxp = np.zeros((h + pt + pb, wd + pl + pr, cin), dtype=x.data.dtype)
-                for di in range(k):
-                    for dj in range(k):
-                        gxp[
-                            di : di + (h_out - 1) * stride + 1 : stride,
-                            dj : dj + (w_out - 1) * stride + 1 : stride,
-                            :,
-                        ] += dcol[:, :, :, di, dj]
-                x._accumulate(gxp[pt : pt + h, pl : pl + wd, :])
+        if gxp is not None:
+            x._accumulate(gxp[pt : pt + h, pl : pl + wd])
 
     out = _from_op(out_data, parents, backward)
     out_holder.append(out)
@@ -716,62 +696,3 @@ def global_vertex_avg(a) -> Tensor:
     out = _from_op(a.data.mean(axis=0, keepdims=True), (a,), backward)
     out_holder.append(out)
     return out
-
-
-# -- kind dispatchers -------------------------------------------------------------
-
-
-def activation(kind: str, x) -> Tensor:
-    if kind == "relu":
-        return relu(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    raise ValueError(f"unknown activation kind '{kind}'")
-
-
-_POOL_KINDS = {
-    "channel_avg": channel_avg,
-    "channel_max": channel_max,
-    "global_vertex_avg": global_vertex_avg,
-    "upsample2x": upsample2x,
-}
-
-
-def pool(kind: str, x) -> Tensor:
-    try:
-        fn = _POOL_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown pool kind '{kind}'") from None
-    return fn(x)
-
-
-def tensor_primitive(kind: str, *operands, **kwargs) -> Tensor:
-    """Dispatch by name onto the core primitives.
-
-    kinds: add, mul, matmul, concat(axis=), reshape(shape=),
-    transpose(axes=), scalar_op(op=add|mul, value=).
-    """
-    if kind == "add":
-        return add(*operands)
-    if kind == "mul":
-        return mul(*operands)
-    if kind == "matmul":
-        return matmul(*operands)
-    if kind == "concat":
-        return concat(operands, axis=kwargs["axis"])
-    if kind == "reshape":
-        (a,) = operands
-        return reshape(a, kwargs["shape"])
-    if kind == "transpose":
-        (a,) = operands
-        return transpose(a, kwargs.get("axes"))
-    if kind == "scalar_op":
-        (a,) = operands
-        op = kwargs["op"]
-        value = float(kwargs["value"])
-        if op == "add":
-            return add(a, value)
-        if op == "mul":
-            return mul(a, value)
-        raise ValueError(f"unknown scalar_op '{op}'")
-    raise ValueError(f"unknown primitive kind '{kind}'")

@@ -25,17 +25,26 @@ def op_cases(rng):
         a = _leaf(rng, *shape)
         return [("a", a)], lambda: T.tensor_sum(op(a, **kw) ** 2.0)
 
+    def conv(sx, sw, stride=1, bias=False):
+        x, w = _leaf(rng, *sx), _leaf(rng, *sw)
+        b = _leaf(rng, sw[3]) if bias else None
+        leaves = [("x", x), ("w", w)] + ([("bias", b)] if bias else [])
+        return leaves, lambda: T.tensor_sum(T.conv2d(x, w, b, stride=stride) ** 2.0)
+
     yield "add", lambda: binary(T.add, (3, 4), (3, 4))
     yield "add_broadcast", lambda: binary(T.add, (3, 4), (1, 4))
     yield "mul", lambda: binary(T.mul, (3, 4), (3, 4))
     yield "mul_broadcast_channel", lambda: binary(T.mul, (3, 4, 2), (3, 4, 1))
     yield "mul_outer", lambda: binary(T.mul, (4, 1), (1, 4))
     yield "matmul", lambda: binary(T.matmul, (3, 5), (5, 2))
-    yield "conv2d_k3", lambda: binary(T.conv2d, (5, 5, 2), (3, 3, 2, 2))
-    yield "conv2d_k1", lambda: binary(T.conv2d, (4, 4, 3), (1, 1, 3, 2))
-    yield "conv2d_stride2", lambda: binary(
-        lambda x, w: T.conv2d(x, w, stride=2), (6, 6, 2), (3, 3, 2, 2)
-    )
+    yield "conv2d_k3", lambda: conv((5, 5, 2), (3, 3, 2, 2))
+    yield "conv2d_k3_bias", lambda: conv((5, 5, 2), (3, 3, 2, 2), bias=True)
+    yield "conv2d_k1", lambda: conv((4, 4, 3), (1, 1, 3, 2))
+    yield "conv2d_k5", lambda: conv((6, 6, 2), (5, 5, 2, 2))
+    yield "conv2d_k7_descriptor", lambda: conv((6, 6, 2), (7, 7, 2, 1))
+    yield "conv2d_stride2", lambda: conv((6, 6, 2), (3, 3, 2, 2), stride=2)
+    yield "conv2d_stride2_odd", lambda: conv((7, 5, 2), (3, 3, 2, 2), stride=2)
+    yield "conv2d_k1_stride2", lambda: conv((5, 5, 3), (1, 1, 3, 2), stride=2)
     yield "relu", lambda: unary(T.relu, (4, 4))
     yield "sigmoid", lambda: unary(T.sigmoid, (4, 4))
     yield "softmax", lambda: unary(T.softmax, (4, 5))

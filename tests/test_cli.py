@@ -1,10 +1,15 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rrnet
 from rrnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rrnet.dataio import load_checkpoint, read_pgm, write_pgm
 from rrnet.network import init_network_params
@@ -66,6 +71,24 @@ class TestTrain:
         assert rows[-1][0] == "2"
         for r in rows:
             float(r[1]), float(r[2])
+
+    def test_closed_stdout_still_saves_and_exits_quietly(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first line is written
+        env = dict(os.environ, PYTHONPATH=str(Path(rrnet.__file__).parents[1]))
+        env.pop("PYTHONUNBUFFERED", None)  # a pipe is block-buffered by default
+        ck = tmp_path / "m.ck"
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rrnet.cli", "train", "--synthetic", "2", "--iters", "2",
+                 "--size", "32", "--out", str(ck), *TINY_NET],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_OK
+        assert proc.stderr == b""
+        assert ck.exists()
 
     def test_manifest_training(self, tmp_path, capsys):
         run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", "2", "--seed", "0", "--size", "32")

@@ -1,11 +1,12 @@
 """Forward-value tests for the tensor primitives against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rrnet.tensor import (
     Tensor,
-    activation,
     channel_avg,
     channel_max,
     clip,
@@ -13,13 +14,12 @@ from rrnet.tensor import (
     conv2d,
     global_vertex_avg,
     matmul,
-    pool,
     relu,
     reshape,
     sigmoid,
     softmax,
     take_rows,
-    tensor_primitive,
+    tensor_sum,
     transpose,
     upsample2x,
 )
@@ -77,22 +77,6 @@ class TestPrimitives:
         with pytest.raises(ValueError, match="inner dimensions"):
             matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
-    def test_unknown_primitive_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown primitive kind"):
-            tensor_primitive("bogus", Tensor(np.zeros(2)))
-
-    def test_primitive_dispatch(self, rng):
-        a = Tensor(rng.standard_normal((2, 3)))
-        b = Tensor(rng.standard_normal((2, 3)))
-        assert np.array_equal(tensor_primitive("add", a, b).data, a.data + b.data)
-        assert np.array_equal(tensor_primitive("mul", a, b).data, a.data * b.data)
-        assert tensor_primitive("reshape", a, shape=(3, 2)).shape == (3, 2)
-        assert tensor_primitive("transpose", a).shape == (3, 2)
-        assert np.array_equal(
-            tensor_primitive("scalar_op", a, op="mul", value=2.0).data, a.data * 2.0
-        )
-        assert tensor_primitive("concat", a, b, axis=0).shape == (4, 3)
-
     def test_transpose_reshape_roundtrip(self, rng):
         a = rng.standard_normal((4, 5))
         t = Tensor(a)
@@ -132,10 +116,11 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k", [1, 5, 7])
     def test_other_kernel_sizes_match_oracle(self, rng, k):
-        x = rng.standard_normal((8, 6, 2))
         w = rng.standard_normal((k, k, 2, 2))
-        got = conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64)).data
-        assert np.abs(got - _loop_conv(x, w)).max() < 1e-12
+        for shape, stride in (((8, 6, 2), 1), ((7, 5, 2), 2)):
+            x = rng.standard_normal(shape)
+            got = conv2d(Tensor(x, dtype=np.float64), Tensor(w, dtype=np.float64), stride=stride).data
+            assert np.abs(got - _loop_conv(x, w, stride=stride)).max() < 1e-12
 
     def test_stride2_matches_loop_oracle(self, rng):
         x = rng.standard_normal((8, 8, 3))
@@ -163,6 +148,18 @@ class TestConv2d:
         ).data
         assert np.abs(lhs - rhs).max() < 1e-10
 
+    def test_forward_backward_memory_stays_near_input_size(self, rng):
+        """A 7x7 conv at 56x56x16 keeps no k*k-sized window buffer, forward or backward."""
+        x = Tensor(rng.standard_normal((56, 56, 16)), requires_grad=True, dtype=np.float32)
+        w = Tensor(rng.standard_normal((7, 7, 16, 16)), requires_grad=True, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            tensor_sum(conv2d(x, w)).backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input's bytes"
+
 
 class TestActivations:
     def test_sigmoid_at_zero(self):
@@ -175,11 +172,6 @@ class TestActivations:
         x = Tensor(np.array([-1e4, -50.0, 0.0, 50.0, 1e4], dtype=np.float32))
         s = sigmoid(x).data
         assert (s > 0.0).all() and (s < 1.0).all()
-
-    def test_activation_dispatch(self):
-        assert activation("relu", Tensor([-1.0])).data[0] == 0.0
-        with pytest.raises(ValueError, match="unknown activation"):
-            activation("tanh", Tensor([0.0]))
 
     def test_softmax_rows_sum_to_one(self, rng):
         s = softmax(Tensor(rng.standard_normal((5, 7)), dtype=np.float64)).data
@@ -225,14 +217,6 @@ class TestPool:
             channel_avg(Tensor(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="rank-2"):
             global_vertex_avg(Tensor(np.zeros((3, 3, 1))))
-        with pytest.raises(ValueError, match="unknown pool kind"):
-            pool("median", Tensor(np.zeros((3, 3, 1))))
-
-    def test_pool_dispatch(self, rng):
-        x = Tensor(rng.uniform(size=(4, 4, 2)).astype(np.float32))
-        assert pool("channel_avg", x).shape == (4, 4, 1)
-        assert pool("channel_max", x).shape == (4, 4, 1)
-        assert pool("upsample2x", x).shape == (8, 8, 2)
 
 
 class TestDescriptorOracle:
