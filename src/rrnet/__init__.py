@@ -2,7 +2,6 @@
 multi-scale attention, implemented from scratch on a numpy autodiff engine."""
 
 from .tensor import Tensor, NumericalError, no_grad
-from .init import xavier_init
 from .optim import Adam, LinearSchedule
 from .network import (
     NetworkConfig,
@@ -22,7 +21,6 @@ __all__ = [
     "Tensor",
     "NumericalError",
     "no_grad",
-    "xavier_init",
     "Adam",
     "LinearSchedule",
     "NetworkConfig",

@@ -7,9 +7,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import Tensor, no_grad
 
-__all__ = ["numerical_gradient", "gradcheck", "GradCheckResult", "run_self_check", "CheckResult"]
+__all__ = [
+    "numerical_gradient",
+    "gradcheck",
+    "GradCheckResult",
+    "op_cases",
+    "run_self_check",
+    "CheckResult",
+]
 
 
 def numerical_gradient(loss_fn: Callable[[], Tensor], leaf: Tensor, h: float = 1e-5) -> np.ndarray:
@@ -90,39 +98,66 @@ class CheckResult:
     detail: str = ""
 
 
+def _leaf(rng, *shape):
+    return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
+
+
+def op_cases(rng):
+    """The per-op gradient-check catalog, as (name, build) pairs.
+
+    Each build() makes fresh double-precision leaves from rng and returns
+    (named leaves, loss_fn); loss_fn re-runs the forward pass from those
+    leaves, which is what finite differencing needs.
+    """
+
+    def binary(op, sa, sb):
+        a = _leaf(rng, *sa)
+        b = _leaf(rng, *sb)
+        return [("a", a), ("b", b)], lambda: T.tensor_sum(op(a, b) ** 2.0)
+
+    def unary(op, shape):
+        a = _leaf(rng, *shape)
+        return [("a", a)], lambda: T.tensor_sum(op(a) ** 2.0)
+
+    def conv(sx, sw, stride=1, bias=False):
+        x, w = _leaf(rng, *sx), _leaf(rng, *sw)
+        b = _leaf(rng, sw[3]) if bias else None
+        leaves = [("x", x), ("w", w)] + ([("bias", b)] if bias else [])
+        return leaves, lambda: T.tensor_sum(T.conv2d(x, w, b, stride=stride) ** 2.0)
+
+    yield "add", lambda: binary(T.add, (3, 4), (3, 4))
+    yield "add_broadcast", lambda: binary(T.add, (3, 4), (1, 4))
+    yield "mul", lambda: binary(T.mul, (3, 4), (3, 4))
+    yield "mul_broadcast_channel", lambda: binary(T.mul, (3, 4, 2), (3, 4, 1))
+    yield "mul_outer", lambda: binary(T.mul, (4, 1), (1, 4))
+    yield "matmul", lambda: binary(T.matmul, (3, 5), (5, 2))
+    yield "conv2d_k3", lambda: conv((5, 5, 2), (3, 3, 2, 2))
+    yield "conv2d_k3_bias", lambda: conv((5, 5, 2), (3, 3, 2, 2), bias=True)
+    yield "conv2d_k1", lambda: conv((4, 4, 3), (1, 1, 3, 2))
+    yield "conv2d_k5", lambda: conv((6, 6, 2), (5, 5, 2, 2))
+    yield "conv2d_k7_descriptor", lambda: conv((6, 6, 2), (7, 7, 2, 1))
+    yield "conv2d_stride2", lambda: conv((6, 6, 2), (3, 3, 2, 2), stride=2)
+    yield "conv2d_stride2_odd", lambda: conv((7, 5, 2), (3, 3, 2, 2), stride=2)
+    yield "conv2d_k1_stride2", lambda: conv((5, 5, 3), (1, 1, 3, 2), stride=2)
+    yield "relu", lambda: unary(T.relu, (4, 4))
+    yield "sigmoid", lambda: unary(T.sigmoid, (4, 4))
+    yield "softmax", lambda: unary(T.softmax, (4, 5))
+    yield "transpose", lambda: unary(T.transpose, (3, 5))
+    yield "reshape", lambda: unary(lambda a: T.reshape(a, (15,)), (3, 5))
+    yield "sum_axis", lambda: unary(lambda a: T.tensor_sum(a, axis=1), (4, 5))
+    yield "upsample2x", lambda: unary(T.upsample2x, (3, 4, 2))
+    yield "channel_avg", lambda: unary(T.channel_avg, (3, 3, 5))
+    yield "channel_max", lambda: unary(T.channel_max, (3, 3, 5))
+    yield "global_vertex_avg", lambda: unary(T.global_vertex_avg, (6, 4))
+    yield "power", lambda: unary(lambda a: (a * a + 1.0) ** -0.5, (4, 4))
+    yield "log_of_clip", lambda: unary(lambda a: T.log(T.clip(T.sigmoid(a), 1e-7, 1 - 1e-7)), (4, 4))
+    yield "concat", lambda: binary(lambda a, b: T.concat([a, b], axis=1), (3, 2), (3, 4))
+    yield "take_rows", lambda: unary(lambda a: T.take_rows(a, np.array([3, 0, 2, 2, 1])), (4, 3))
+
+
 def _op_gradchecks(rng: np.random.Generator, trials: int) -> list[CheckResult]:
-    from . import tensor as T
-
-    def leaf(*shape):
-        return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
-
-    def case_binary(op, sa, sb):
-        a, b = leaf(*sa), leaf(*sb)
-        return [a, b], lambda: T.tensor_sum(op(a, b))
-
-    def case_unary(op, shape):
-        a = leaf(*shape)
-        return [a], lambda: T.tensor_sum(op(a) ** 2.0)
-
-    builders: list[tuple[str, Callable[[], tuple]]] = [
-        ("add", lambda: case_binary(T.add, (3, 4), (3, 4))),
-        ("mul", lambda: case_binary(T.mul, (3, 4), (3, 4))),
-        ("matmul", lambda: case_binary(T.matmul, (3, 4), (4, 2))),
-        ("conv2d", lambda: case_binary(T.conv2d, (5, 5, 2), (3, 3, 2, 2))),
-        (
-            "conv2d_stride2",
-            lambda: case_binary(lambda x, w: T.conv2d(x, w, stride=2), (7, 5, 2), (3, 3, 2, 2)),
-        ),
-        ("conv2d_k7", lambda: case_binary(T.conv2d, (6, 6, 2), (7, 7, 2, 1))),
-        ("relu", lambda: case_unary(T.relu, (4, 4))),
-        ("sigmoid", lambda: case_unary(T.sigmoid, (4, 4))),
-        ("softmax", lambda: case_unary(T.softmax, (4, 4))),
-        ("upsample2x", lambda: case_unary(T.upsample2x, (3, 3, 2))),
-        ("channel_avg", lambda: case_unary(T.channel_avg, (3, 3, 4))),
-        ("channel_max", lambda: case_unary(T.channel_max, (3, 3, 4))),
-    ]
     results = []
-    for name, build in builders:
+    for name, build in op_cases(rng):
         ok = True
         worst = 0.0
         for _ in range(trials):

@@ -12,13 +12,14 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataio
 from .checks import run_self_check
-from .dataio import CheckpointError, DataFormatError, Sample
+from .dataio import CheckpointError, DataFormatError
 from .metrics import evaluate_pairs, pr_curve_csv, report_to_json
 from .network import NetworkConfig, init_network_params, parse_kv_text, predict
 from .tensor import NumericalError, Tensor, no_grad
@@ -43,21 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 # training-side keys allowed in a config file, on top of NetworkConfig keys
 _TRAIN_KEYS = {"iterations", "batch_size", "lr_initial", "lr_final", "seed", "augment"}
-_NET_KEYS = {
-    "stage_channels",
-    "decoder_width",
-    "input_size",
-    "use_pma",
-    "use_srr",
-    "use_crr",
-    "use_nonlocal",
-    "pma_branch",
-    "rr_residual",
-    "rr_shared_projection",
-    "pma_feature_activation",
-    "pma_att_kernel",
-    "upsample_mode",
-}
+_NET_KEYS = {f.name for f in fields(NetworkConfig)}
 
 
 def _say(line: str) -> None:
@@ -167,22 +154,7 @@ def _network_config_from_args(args, file_kv: dict[str, str]) -> NetworkConfig:
         overrides["use_crr"] = False
     if args.pma_branch is not None:
         overrides["pma_branch"] = args.pma_branch
-    if overrides:
-        kv = parse_kv_text(cfg.to_text())
-        cfg = NetworkConfig.from_mapping(kv | _to_kv(overrides))
-    return cfg
-
-
-def _to_kv(overrides: dict) -> dict[str, str]:
-    kv = {}
-    for k, v in overrides.items():
-        if isinstance(v, bool):
-            kv[k] = "true" if v else "false"
-        elif isinstance(v, tuple):
-            kv[k] = ",".join(str(x) for x in v)
-        else:
-            kv[k] = str(v)
-    return kv
+    return replace(cfg, **overrides)
 
 
 def _cmd_train(args) -> int:
@@ -272,9 +244,14 @@ def _cmd_eval(args) -> int:
         print("error: no .pgm files to evaluate", file=sys.stderr)
         return EXIT_DATA
     threads = int(os.environ.get("RRNET_THREADS", "1"))
-    pairs = [
-        (dataio.read_pgm(preds[k]), dataio.read_mask(gts[k]), k) for k in sorted(preds)
-    ]
+    pairs = []
+    for k in sorted(preds):
+        s, gt = dataio.read_pgm(preds[k]), dataio.read_mask(gts[k])
+        if s.shape != gt.shape:
+            raise DataFormatError(
+                f"sample '{k}': prediction {s.shape} and mask {gt.shape} differ in shape"
+            )
+        pairs.append((s, gt, k))
     report = evaluate_pairs(pairs, threads=max(threads, 1))
     for sample_id in report.skipped_fpr:
         print(f"warning: '{sample_id}' has no foreground; excluded from F/PR", file=sys.stderr)

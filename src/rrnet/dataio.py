@@ -27,7 +27,6 @@ __all__ = [
     "read_pgm",
     "write_pgm",
     "read_mask",
-    "write_map",
     "augment7",
     "AUGMENT_NAMES",
     "resize_bilinear",
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"RRNETCK1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class DataFormatError(ValueError):
@@ -125,66 +124,54 @@ def _parse_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
     return width, height, pos
 
 
-def read_ppm(path) -> np.ndarray:
-    """Read a P6 file into an H x W x 3 float32 array scaled to [0, 1]."""
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """The uint8 payload of a P6 (channels 3) or P5 (channels 1) file, as
+    H x W x 3 or H x W."""
     data = Path(path).read_bytes()
-    width, height, pos = _parse_pnm_header(data, b"P6", path)
-    need = width * height * 3
+    width, height, pos = _parse_pnm_header(data, magic, path)
+    need = width * height * channels
     payload = data[pos : pos + need]
     if len(payload) < need:
         raise DataFormatError(
             f"payload truncated: expected {need} bytes, found {len(payload)}", path, pos
         )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return (arr.astype(np.float32)) / 255.0
+    shape = (height, width, channels) if channels > 1 else (height, width)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+
+
+def _write_pnm(path, magic: bytes, values: np.ndarray) -> None:
+    """Write values in [0, 1] as 8-bit netpbm, quantized with round(v * 255)."""
+    h, w = values.shape[:2]
+    payload = np.clip(np.rint(np.asarray(values, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
+    Path(path).write_bytes(magic + b"\n%d %d\n255\n" % (w, h) + payload.tobytes())
+
+
+def read_ppm(path) -> np.ndarray:
+    """Read a P6 file into an H x W x 3 float32 array scaled to [0, 1]."""
+    return _read_pnm(path, b"P6", 3).astype(np.float32) / 255.0
 
 
 def write_ppm(path, image: np.ndarray) -> None:
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"write_ppm needs an HxWx3 array, got {image.shape}")
-    h, w = image.shape[:2]
-    payload = np.clip(np.rint(np.asarray(image, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-    Path(path).write_bytes(b"P6\n%d %d\n255\n" % (w, h) + payload.tobytes())
+    _write_pnm(path, b"P6", image)
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a P5 file into an H x W float32 array scaled to [0, 1]."""
-    data = Path(path).read_bytes()
-    width, height, pos = _parse_pnm_header(data, b"P5", path)
-    need = width * height
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise DataFormatError(
-            f"payload truncated: expected {need} bytes, found {len(payload)}", path, pos
-        )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return arr.astype(np.float32) / 255.0
+    return _read_pnm(path, b"P5", 1).astype(np.float32) / 255.0
 
 
 def write_pgm(path, values: np.ndarray) -> None:
     """Write a map in [0, 1] as 8-bit P5, quantized with round(v * 255)."""
     if values.ndim != 2:
         raise ValueError(f"write_pgm needs an HxW array, got {values.shape}")
-    h, w = values.shape
-    payload = np.clip(np.rint(np.asarray(values, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-    Path(path).write_bytes(b"P5\n%d %d\n255\n" % (w, h) + payload.tobytes())
+    _write_pnm(path, b"P5", values)
 
 
 def read_mask(path) -> np.ndarray:
     """Read a P5 ground-truth mask; bytes >= 128 count as foreground."""
-    data = Path(path).read_bytes()
-    width, height, pos = _parse_pnm_header(data, b"P5", path)
-    need = width * height
-    payload = data[pos : pos + need]
-    if len(payload) < need:
-        raise DataFormatError(
-            f"payload truncated: expected {need} bytes, found {len(payload)}", path, pos
-        )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return (arr >= 128).astype(np.float32)
-
-
-write_map = write_pgm
+    return (_read_pnm(path, b"P5", 1) >= 128).astype(np.float32)
 
 
 # -- augmentation -----------------------------------------------------------------
@@ -306,18 +293,6 @@ class ShapeSpec:
     a: float  # semi-axis / half-width along x (bar: half-length)
     b: float  # semi-axis / half-height (bar: half-thickness)
     angle: float = 0.0
-
-    def area(self) -> float:
-        if self.kind == "ellipse":
-            return math.pi * self.a * self.b
-        return 4.0 * self.a * self.b
-
-    def perimeter(self) -> float:
-        if self.kind == "ellipse":
-            # Ramanujan's approximation
-            a, b = self.a, self.b
-            return math.pi * (3 * (a + b) - math.sqrt((3 * a + b) * (a + 3 * b)))
-        return 4.0 * (self.a + self.b)
 
     def rasterize(self, size: int) -> np.ndarray:
         """Boolean mask over pixel centers."""
@@ -489,12 +464,19 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
             f"{CHECKPOINT_VERSION} - re-save the model with a matching build"
         )
     cfg_len = r.u32("config length")
-    cfg = NetworkConfig.from_text(r.take(cfg_len, "config").decode("utf-8"))
+    cfg_blob = r.take(cfg_len, "config")
+    try:
+        cfg = NetworkConfig.from_text(cfg_blob.decode("utf-8"))
+    except ValueError as e:  # includes UnicodeDecodeError
+        raise CheckpointError(f"bad config in {path}: {e}") from None
     count = r.u32("entry count")
     entries: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u16("name length")
-        name = r.take(name_len, "name").decode("utf-8")
+        try:
+            name = r.take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CheckpointError(f"bad entry name in {path}: {e}") from None
         if name in entries:
             raise CheckpointError(f"duplicate entry '{name}' in {path}")
         ndim = r.u8("rank")

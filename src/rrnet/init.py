@@ -6,7 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_init", "xavier_uniform", "constant_init", "as_rng"]
+__all__ = ["xavier_uniform", "constant_init", "as_rng"]
 
 
 def as_rng(seed) -> np.random.Generator:
@@ -39,11 +39,3 @@ def xavier_uniform(shape, seed, dtype=np.float32, requires_grad: bool = True) ->
 def constant_init(shape, value: float = 0.0, dtype=np.float32, requires_grad: bool = True) -> Tensor:
     shape = tuple(int(s) for s in shape)
     return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
-
-
-def xavier_init(shape, seed, dtype=np.float32, requires_grad: bool = True) -> Tensor:
-    """Xavier policy for weights; rank-1 shapes (biases) get constant 0."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) < 2:
-        return constant_init(shape, 0.0, dtype=dtype, requires_grad=requires_grad)
-    return xavier_uniform(shape, seed, dtype=dtype, requires_grad=requires_grad)

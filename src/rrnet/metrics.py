@@ -86,7 +86,10 @@ def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
 
 def f_measure(s: np.ndarray, gt: np.ndarray, beta_sq: float = 0.3) -> float:
     """Max over the 256 thresholds of (1 + b2) P R / (b2 P + R); 0 when P = R = 0."""
-    curve = pr_curve(s, gt)
+    return _f_max(pr_curve(s, gt), beta_sq)
+
+
+def _f_max(curve: np.ndarray, beta_sq: float = 0.3) -> float:
     p, r = curve[:, 0], curve[:, 1]
     denom = beta_sq * p + r
     f = np.where(denom > 0, (1.0 + beta_sq) * p * r / np.where(denom > 0, denom, 1.0), 0.0)
@@ -264,7 +267,7 @@ def evaluate_pair(s: np.ndarray, gt: np.ndarray, sample_id: str = "") -> ImageMe
     )
     if np.asarray(gt).sum() > 0:
         row.pr = pr_curve(s, gt)
-        row.f_beta_max = f_measure(s, gt)
+        row.f_beta_max = _f_max(row.pr)
     return row
 
 

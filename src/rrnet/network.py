@@ -3,7 +3,7 @@ attention-modulated decoder, prediction head, and the class-balanced loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -60,7 +60,6 @@ class NetworkConfig:
     rr_shared_projection: bool = True
     pma_feature_activation: str = "relu"
     pma_att_kernel: int = 7
-    upsample_mode: str = "nearest"
 
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
@@ -69,6 +68,8 @@ class NetworkConfig:
             raise ValueError(f"stage_channels needs 5 entries, got {self.stage_channels}")
         if any(c < 1 for c in self.stage_channels):
             raise ValueError(f"stage_channels must be positive, got {self.stage_channels}")
+        if len(self.input_size) != 2:
+            raise ValueError(f"input_size needs 2 entries, got {self.input_size}")
         h, w = self.input_size
         if h % 32 or w % 32:
             raise ValueError(f"input_size must be divisible by 32, got {self.input_size}")
@@ -76,10 +77,6 @@ class NetworkConfig:
             raise ValueError("use_nonlocal excludes use_srr/use_crr")
         if self.pma_branch not in ("both", "left", "right"):
             raise ValueError(f"pma_branch must be both|left|right, got '{self.pma_branch}'")
-        if self.upsample_mode != "nearest":
-            raise ValueError(
-                f"upsample_mode '{self.upsample_mode}' not supported (available: nearest)"
-            )
         if self.pma_feature_activation not in ("relu", "sigmoid"):
             raise ValueError(
                 f"pma_feature_activation must be relu|sigmoid, got '{self.pma_feature_activation}'"
@@ -90,25 +87,11 @@ class NetworkConfig:
         h, w = self.input_size
         return h // 2**s, w // 2**s
 
-    # flat key=value serialization, shared by config files and checkpoints
+    # flat key=value serialization, shared by config files and checkpoints;
+    # the keys are the dataclass fields, in declaration order
 
     def to_text(self) -> str:
-        lines = [
-            "stage_channels=" + ",".join(str(c) for c in self.stage_channels),
-            f"decoder_width={self.decoder_width}",
-            "input_size=" + ",".join(str(s) for s in self.input_size),
-            f"use_pma={str(self.use_pma).lower()}",
-            f"use_srr={str(self.use_srr).lower()}",
-            f"use_crr={str(self.use_crr).lower()}",
-            f"use_nonlocal={str(self.use_nonlocal).lower()}",
-            f"pma_branch={self.pma_branch}",
-            f"rr_residual={str(self.rr_residual).lower()}",
-            f"rr_shared_projection={str(self.rr_shared_projection).lower()}",
-            f"pma_feature_activation={self.pma_feature_activation}",
-            f"pma_att_kernel={self.pma_att_kernel}",
-            f"upsample_mode={self.upsample_mode}",
-        ]
-        return "\n".join(lines) + "\n"
+        return "".join(f"{f.name}={_format_value(getattr(self, f.name))}\n" for f in fields(self))
 
     @classmethod
     def from_text(cls, text: str) -> "NetworkConfig":
@@ -117,30 +100,32 @@ class NetworkConfig:
 
     @classmethod
     def from_mapping(cls, kv: dict[str, str]) -> "NetworkConfig":
+        """Parse each value by the type of its field's default; a single
+        input_size value means a square."""
+        kinds = {f.name: type(f.default) for f in fields(cls)}
         kwargs = {}
-        bool_keys = {
-            "use_pma",
-            "use_srr",
-            "use_crr",
-            "use_nonlocal",
-            "rr_residual",
-            "rr_shared_projection",
-        }
         for key, value in kv.items():
-            if key == "stage_channels":
-                kwargs[key] = tuple(int(x) for x in value.split(","))
-            elif key == "input_size":
-                parts = [int(x) for x in value.split(",")]
-                kwargs[key] = (parts[0], parts[-1]) if len(parts) > 1 else (parts[0], parts[0])
-            elif key in bool_keys:
-                kwargs[key] = _parse_bool(key, value)
-            elif key in ("decoder_width", "pma_att_kernel"):
-                kwargs[key] = int(value)
-            elif key in ("pma_branch", "pma_feature_activation", "upsample_mode"):
-                kwargs[key] = value
-            else:
+            kind = kinds.get(key)
+            if kind is None:
                 raise ValueError(f"unknown config key '{key}'")
+            if kind is bool:
+                kwargs[key] = _parse_bool(key, value)
+            elif kind is int:
+                kwargs[key] = int(value)
+            elif kind is tuple:
+                parts = tuple(int(x) for x in value.split(","))
+                kwargs[key] = parts * 2 if key == "input_size" and len(parts) == 1 else parts
+            else:
+                kwargs[key] = value
         return cls(**kwargs)
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(str(x) for x in value)
+    return str(value)
 
 
 def _parse_bool(key: str, value: str) -> bool:

@@ -7,9 +7,12 @@ Convolution is one matmul per kernel tap over shifted views of the padded
 input, in the forward pass and in both gradients, so it never builds a
 window buffer k*k times the size of its input.
 
-Every op records a backward closure on a per-forward tape; calling
-``backward()`` on a scalar loss walks the tape once and then frees it, so a
-second backward without a fresh forward pass is rejected.
+Every op records a backward closure ``backward(g)`` on a per-forward tape;
+``g`` is the gradient that reached the op's output. Calling ``backward()`` on
+a scalar loss walks the tape once and then frees it, so a second backward
+without a fresh forward pass is rejected. A closure never holds its own
+output, so a graph dropped without a backward pass is freed by reference
+counting alone.
 
 float32 is the working dtype for training and inference; all ops also run in
 float64, which the finite-difference gradient checks rely on.
@@ -153,7 +156,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node._grad)
                 node._backward = None  # free the tape
 
     def _accumulate(self, g) -> None:
@@ -216,6 +219,7 @@ def _wrap(x, dtype=None) -> Tensor:
 
 
 def _from_op(data, parents: Sequence[Tensor], backward) -> Tensor:
+    """Wrap an op's result; ``backward(g)`` gets the output gradient ``g``."""
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -250,51 +254,39 @@ def _check_broadcast(a: Tensor, b: Tensor, opname: str) -> None:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, a.dtype)
     _check_broadcast(a, b, "add")
-    out_holder: list[Tensor] = []
 
-    def backward():
-        g = out_holder[0]._grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.shape))
 
-    out = _from_op(a.data + b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data + b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b, a.dtype)
     _check_broadcast(a, b, "mul")
-    out_holder: list[Tensor] = []
 
-    def backward():
-        g = out_holder[0]._grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    out = _from_op(a.data * b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data * b.data, (a, b), backward)
 
 
 def power(a, p) -> Tensor:
     """Elementwise a**p for a scalar exponent p."""
     a = _wrap(a)
     p = float(p)
-    out_holder: list[Tensor] = []
 
-    def backward():
-        g = out_holder[0]._grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(g * p * np.power(a.data, p - 1.0))
 
-    out = _from_op(np.power(a.data, p), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(np.power(a.data, p), (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -303,18 +295,14 @@ def matmul(a, b) -> Tensor:
         raise ValueError(f"matmul supports 2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out_holder: list[Tensor] = []
 
-    def backward():
-        g = out_holder[0]._grad
+    def backward(g):
         if a.requires_grad:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    out = _from_op(a.data @ b.data, (a, b), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data @ b.data, (a, b), backward)
 
 
 # -- shape ops ----------------------------------------------------------------
@@ -323,15 +311,12 @@ def matmul(a, b) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     shape = tuple(int(s) for s in shape)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out_holder[0]._grad.reshape(a.shape))
+            a._accumulate(g.reshape(a.shape))
 
-    out = _from_op(a.data.reshape(shape), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a, axes=None) -> Tensor:
@@ -340,15 +325,12 @@ def transpose(a, axes=None) -> Tensor:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(int(x) for x in axes)
     inverse = tuple(np.argsort(axes))
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out_holder[0]._grad.transpose(inverse))
+            a._accumulate(g.transpose(inverse))
 
-    out = _from_op(a.data.transpose(axes), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data.transpose(axes), (a,), backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
@@ -365,36 +347,29 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
             )
     sizes = [t.shape[axis] for t in ts]
     offsets = np.cumsum([0] + sizes)
-    out_holder: list[Tensor] = []
 
-    def backward():
-        g = out_holder[0]._grad
+    def backward(g):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
             if t.requires_grad:
                 idx = [slice(None)] * g.ndim
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    out = _from_op(np.concatenate([t.data for t in ts], axis=axis), ts, backward)
-    out_holder.append(out)
-    return out
+    return _from_op(np.concatenate([t.data for t in ts], axis=axis), ts, backward)
 
 
 def take_rows(a, indices) -> Tensor:
     """Gather rows along axis 0; scatter-adds on the way back."""
     a = _wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = np.zeros_like(a.data)
-            np.add.at(g, idx, out_holder[0]._grad)
-            a._accumulate(g)
+            grad = np.zeros_like(a.data)
+            np.add.at(grad, idx, g)
+            a._accumulate(grad)
 
-    out = _from_op(a.data[idx], (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data[idx], (a,), backward)
 
 
 # -- reductions ----------------------------------------------------------------
@@ -402,18 +377,14 @@ def take_rows(a, indices) -> Tensor:
 
 def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out_holder[0]._grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape))
 
-    out = _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def mean(a) -> Tensor:
@@ -425,20 +396,16 @@ def amax(a, axis: int, keepdims: bool = False) -> Tensor:
     """Max over one axis; the gradient routes to the first argmax."""
     a = _wrap(a)
     idx = np.argmax(a.data, axis=axis)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out_holder[0]._grad
             if not keepdims:
                 g = np.expand_dims(g, axis)
             grad = np.zeros_like(a.data)
             np.put_along_axis(grad, np.expand_dims(idx, axis), g, axis)
             a._accumulate(grad)
 
-    out = _from_op(a.data.max(axis=axis, keepdims=keepdims), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data.max(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 # -- activations and friends -----------------------------------------------------
@@ -446,15 +413,12 @@ def amax(a, axis: int, keepdims: bool = False) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out_holder[0]._grad * (a.data > 0))
+            a._accumulate(g * (a.data > 0))
 
-    out = _from_op(np.maximum(a.data, 0), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(np.maximum(a.data, 0), (a,), backward)
 
 
 def sigmoid(a) -> Tensor:
@@ -468,28 +432,22 @@ def sigmoid(a) -> Tensor:
     e = np.exp(-np.abs(x))  # never overflows
     s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = np.clip(s, SIGMOID_MIN, 1.0 - SIGMOID_MIN).astype(x.dtype)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out_holder[0]._grad * s * (1.0 - s))
+            a._accumulate(g * s * (1.0 - s))
 
-    out = _from_op(s, (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(s, (a,), backward)
 
 
 def log(a) -> Tensor:
     a = _wrap(a)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out_holder[0]._grad / a.data)
+            a._accumulate(g / a.data)
 
-    out = _from_op(np.log(a.data), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(np.log(a.data), (a,), backward)
 
 
 def clip(a, lo=None, hi=None) -> Tensor:
@@ -502,15 +460,12 @@ def clip(a, lo=None, hi=None) -> Tensor:
         mask &= a.data >= lo
     if hi is not None:
         mask &= a.data <= hi
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out_holder[0]._grad * mask)
+            a._accumulate(g * mask)
 
-    out = _from_op(np.clip(a.data, lo, hi), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(np.clip(a.data, lo, hi), (a,), backward)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -518,16 +473,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out_holder[0]._grad
             a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
-    out = _from_op(s, (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(s, (a,), backward)
 
 
 # -- convolution ----------------------------------------------------------------
@@ -603,10 +554,8 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
         out_data += b.data
 
     parents = (x, w) if b is None else (x, w, b)
-    out_holder: list[Tensor] = []
 
-    def backward():
-        g = out_holder[0]._grad
+    def backward(g):
         g2 = g.reshape(h_out * w_out, cout)
         gw = np.empty_like(kernel) if w.requires_grad else None
         gxp = np.zeros_like(xp) if x.requires_grad else None
@@ -622,9 +571,7 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
         if gxp is not None:
             x._accumulate(gxp[pt : pt + h, pl : pl + wd])
 
-    out = _from_op(out_data, parents, backward)
-    out_holder.append(out)
-    return out
+    return _from_op(out_data, parents, backward)
 
 
 # -- pooling --------------------------------------------------------------------
@@ -636,17 +583,13 @@ def upsample2x(a) -> Tensor:
     if a.ndim != 3:
         raise ValueError(f"upsample2x needs a rank-3 HxWxC input, got shape {a.shape}")
     h, w, c = a.shape
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out_holder[0]._grad
             a._accumulate(g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)))
 
     data = np.repeat(np.repeat(a.data, 2, axis=0), 2, axis=1)
-    out = _from_op(data, (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(data, (a,), backward)
 
 
 def channel_avg(a) -> Tensor:
@@ -660,16 +603,12 @@ def channel_avg(a) -> Tensor:
         raise ValueError(f"channel_avg needs a rank-3 HxWxC input, got shape {a.shape}")
     c = a.shape[2]
     data = np.sort(a.data, axis=2).sum(axis=2, keepdims=True) / c
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out_holder[0]._grad / c
-            a._accumulate(np.broadcast_to(g, a.shape))
+            a._accumulate(np.broadcast_to(g / c, a.shape))
 
-    out = _from_op(data.astype(a.dtype), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(data.astype(a.dtype), (a,), backward)
 
 
 def channel_max(a) -> Tensor:
@@ -686,13 +625,9 @@ def global_vertex_avg(a) -> Tensor:
     if a.ndim != 2:
         raise ValueError(f"global_vertex_avg needs a rank-2 input, got shape {a.shape}")
     n = a.shape[0]
-    out_holder: list[Tensor] = []
 
-    def backward():
+    def backward(g):
         if a.requires_grad:
-            g = out_holder[0]._grad / n
-            a._accumulate(np.broadcast_to(g, a.shape))
+            a._accumulate(np.broadcast_to(g / n, a.shape))
 
-    out = _from_op(a.data.mean(axis=0, keepdims=True), (a,), backward)
-    out_holder.append(out)
-    return out
+    return _from_op(a.data.mean(axis=0, keepdims=True), (a,), backward)

@@ -11,8 +11,8 @@ import pytest
 
 import rrnet
 from rrnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from rrnet.dataio import load_checkpoint, read_pgm, write_pgm
-from rrnet.network import init_network_params
+from rrnet.dataio import load_checkpoint, read_pgm, save_checkpoint, write_pgm
+from rrnet.network import NetworkConfig, init_network_params
 
 TINY_NET = ["--stage-channels", "2,2,3,3,3", "--decoder-width", "4"]
 
@@ -173,6 +173,21 @@ class TestInfer:
         )
         assert code == EXIT_DATA
 
+    def test_checkpoint_with_bad_config_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "model.ck"
+        save_checkpoint([], NetworkConfig(), ck)
+        data = ck.read_bytes()
+        cfg_len = int.from_bytes(data[12:16], "little")
+        blob = b"bogus=1\n"
+        ck.write_bytes(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + cfg_len :])
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and "bogus" in err
+        assert len(err.splitlines()) == 1
+
     def test_corrupt_image_is_data_error(self, trained, capsys):
         tmp_path, ck = trained
         bad = tmp_path / "bad.ppm"
@@ -261,6 +276,19 @@ class TestEval:
         )
         assert code == EXIT_DATA
         assert "only_pred" in err and "only_gt" in err
+
+    def test_shape_mismatch_is_data_error_naming_sample(self, tmp_path, capsys, rng):
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        write_pgm(pred_d / "odd.pgm", rng.uniform(size=(32, 32)))
+        write_pgm(gt_d / "odd.pgm", (rng.uniform(size=(64, 64)) < 0.5).astype(np.float64))
+        code, _, err = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
+            "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_DATA
+        assert "odd" in err and "differ in shape" in err
+        assert len(err.splitlines()) == 1
 
     def test_all_background_gt_warned_and_excluded(self, tmp_path, capsys, rng):
         pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"

@@ -1,6 +1,9 @@
 """I/O round trips, augmentation group laws, resizing, the synthetic dataset
 and checkpoint serialization."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 
@@ -210,7 +213,15 @@ class TestSynthDataset:
             ys, xs = np.nonzero(raster)
             if xs.min() == 0 or ys.min() == 0 or xs.max() == 63 or ys.max() == 63:
                 continue
-            assert abs(inside - spec.area()) <= spec.perimeter() + 1.0
+            if spec.kind == "ellipse":
+                area = math.pi * spec.a * spec.b
+                # Ramanujan's approximation
+                a, b = spec.a, spec.b
+                perimeter = math.pi * (3 * (a + b) - math.sqrt((3 * a + b) * (a + 3 * b)))
+            else:
+                area = 4.0 * spec.a * spec.b
+                perimeter = 4.0 * (spec.a + spec.b)
+            assert abs(inside - area) <= perimeter + 1.0
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="n >= 1"):
@@ -281,6 +292,30 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 9])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"bogus=1\n", b"decoder_width=wide\n", b"use_pma=\xff\n"],
+        ids=["unknown_key", "bad_value", "invalid_utf8"],
+    )
+    def test_bad_config_blob_is_checkpoint_error(self, tmp_path, blob):
+        path = tmp_path / "model.ck"
+        save_checkpoint([], NetworkConfig(), path)
+        data = path.read_bytes()
+        (cfg_len,) = struct.unpack("<I", data[12:16])
+        path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + cfg_len :])
+        with pytest.raises(CheckpointError, match="bad config"):
+            load_checkpoint(path)
+
+    def test_undecodable_entry_name_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "model.ck"
+        save_checkpoint([("w", Tensor(np.ones(2, dtype=np.float32)))], NetworkConfig(), path)
+        data = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack("<I", data[12:16])
+        data[16 + cfg_len + 4 + 2] = 0xFF  # the one byte of the name "w"
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="bad entry name"):
             load_checkpoint(path)
 
     def test_duplicate_names_rejected_on_save(self, tmp_path):

@@ -1,6 +1,8 @@
 """Network assembly: backbone strides, encoder toggles, decoder fusion, loss."""
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +229,25 @@ class TestPredict:
                 assert g == 0.0, name
             elif name.startswith(("backbone.", "decoder.", "head.")):
                 assert g > 0.0, name
+
+    def test_graph_dropped_without_backward_is_freed_without_gc(self, rng):
+        # no op's backward closure may reference its own output: a recorded
+        # forward graph must go away by reference counting alone
+        cfg = tiny_cfg(input_size=(32, 32))
+        params = init_network_params(cfg, seed=0)
+        img = make_image(rng, size=32)
+        predict(img, params, cfg)  # warm-up: first-call allocations
+        tracemalloc.start()
+        gc.disable()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                predict(img, params, cfg)
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            gc.enable()
+            tracemalloc.stop()
+        assert left - base < 0.1 * (peak - base), (left - base, peak - base)
 
     def test_capture_diagnostics(self, rng):
         cfg = tiny_cfg()
