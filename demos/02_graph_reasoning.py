@@ -1,5 +1,5 @@
 """Walk through the relational-reasoning pipeline on a small feature map:
-graph construction, the learned non-negative adjacency, the symmetric
+the vertex-feature matrix, the learned non-negative adjacency, the symmetric
 normalized Laplacian and its spectrum, and the equivariance that makes the
 whole block independent of pixel labeling.
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from rrnet.graph import (
     adjacency,
-    build_graph,
     crr,
     init_nonlocal_params,
     init_reasoning_params,
@@ -18,7 +17,7 @@ from rrnet.graph import (
     normalized_laplacian,
     srr,
 )
-from rrnet.tensor import Tensor
+from rrnet.tensor import Tensor, reshape
 
 rng = np.random.default_rng(7)
 
@@ -27,10 +26,10 @@ params = init_reasoning_params(feature_dim=6, seed=rng)
 
 # -- spatial graph: 16 pixel vertexes, 6 features each ------------------------------
 
-g = build_graph(x, "spatial")
-print(f"spatial graph: {g.num_vertexes} vertexes x {g.feature_dim} features")
+m = reshape(x, (16, 6))  # vertex k is pixel (k // 4, k % 4)
+print(f"spatial graph: {m.shape[0]} vertexes x {m.shape[1]} features")
 
-adj = adjacency(g, params)
+adj = adjacency(m, params)
 print("adjacency symmetric:", np.array_equal(adj.data, adj.data.T))
 print("adjacency non-negative:", bool((adj.data >= 0).all()))
 

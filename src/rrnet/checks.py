@@ -170,12 +170,12 @@ def _op_gradchecks(rng: np.random.Generator, trials: int) -> list[CheckResult]:
 
 
 def _algebra_checks(rng: np.random.Generator) -> list[CheckResult]:
-    from .graph import adjacency, build_graph, init_reasoning_params, normalized_laplacian, srr
+    from .graph import adjacency, init_reasoning_params, normalized_laplacian, srr
 
     results = []
     x = Tensor(rng.standard_normal((4, 4, 6)), dtype=np.float64)
     p = init_reasoning_params(6, rng, dtype=np.float64)
-    adj = adjacency(build_graph(x, "spatial"), p)
+    adj = adjacency(T.reshape(x, (16, 6)), p)
     results.append(
         CheckResult("graph/adjacency_symmetric", bool(np.array_equal(adj.data, adj.data.T)))
     )

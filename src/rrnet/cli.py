@@ -21,7 +21,7 @@ from . import dataio
 from .checks import run_self_check
 from .dataio import CheckpointError, DataFormatError
 from .metrics import evaluate_pairs, pr_curve_csv, report_to_json
-from .network import NetworkConfig, init_network_params, parse_kv_text, predict
+from .network import NetworkConfig, from_mapping, init_network_params, parse_kv_text, predict
 from .tensor import NumericalError, Tensor, no_grad
 from .training import TrainSettings, train_model
 
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # training-side keys allowed in a config file, on top of NetworkConfig keys
-_TRAIN_KEYS = {"iterations", "batch_size", "lr_initial", "lr_final", "seed", "augment"}
+_TRAIN_KEYS = {f.name for f in fields(TrainSettings)} - {"log_every"}
 _NET_KEYS = {f.name for f in fields(NetworkConfig)}
 
 
@@ -132,7 +132,7 @@ def _cmd_gen_data(args) -> int:
 
 def _network_config_from_args(args, file_kv: dict[str, str]) -> NetworkConfig:
     net_kv = {k: v for k, v in file_kv.items() if k in _NET_KEYS}
-    cfg = NetworkConfig.from_mapping(net_kv)
+    cfg = from_mapping(NetworkConfig, net_kv)
     overrides = {}
     if args.size is not None:
         overrides["input_size"] = (args.size, args.size)
@@ -166,23 +166,17 @@ def _cmd_train(args) -> int:
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     cfg = _network_config_from_args(args, file_kv)
-
-    def pick(flag, key, default, cast):
-        if flag is not None:  # explicit flag wins over the config file
-            return cast(flag)
-        return cast(file_kv.get(key, default))
-
-    augment = not args.no_augment
-    if not args.no_augment and "augment" in file_kv:
-        augment = file_kv["augment"].lower() in ("true", "1", "yes", "on")
-    settings = TrainSettings(
-        iterations=pick(args.iters, "iterations", 2000, int),
-        batch_size=pick(args.batch, "batch_size", 8, int),
-        lr_initial=pick(args.lr, "lr_initial", 5e-5, float),
-        lr_final=pick(args.final_lr, "lr_final", 5e-7, float),
-        seed=pick(args.seed, "seed", 0, int),
-        augment=augment,
-    )
+    settings = from_mapping(TrainSettings, {k: v for k, v in file_kv.items() if k in _TRAIN_KEYS})
+    flags = {
+        "iterations": args.iters,
+        "batch_size": args.batch,
+        "lr_initial": args.lr,
+        "lr_final": args.final_lr,
+        "seed": args.seed,
+        "augment": False if args.no_augment else None,
+    }
+    # an explicit flag wins over the config file
+    settings = replace(settings, **{k: v for k, v in flags.items() if v is not None})
     if args.synthetic is not None:
         samples = dataio.synth_dataset(args.synthetic, settings.seed, cfg.input_size[0])
     else:
@@ -243,7 +237,11 @@ def _cmd_eval(args) -> int:
     if not preds:
         print("error: no .pgm files to evaluate", file=sys.stderr)
         return EXIT_DATA
-    threads = int(os.environ.get("RRNET_THREADS", "1"))
+    raw_threads = os.environ.get("RRNET_THREADS", "1")
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        raise _UsageError(f"RRNET_THREADS must be an integer, got '{raw_threads}'") from None
     pairs = []
     for k in sorted(preds):
         s, gt = dataio.read_pgm(preds[k]), dataio.read_mask(gts[k])

@@ -498,8 +498,8 @@ def write_manifest(path, pairs: list[tuple[str, str]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_manifest(path) -> list[tuple[str, str]]:
-    pairs = []
+def _manifest_entries(path):
+    """(line number, image, mask) for every non-blank manifest line."""
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -509,17 +509,25 @@ def read_manifest(path) -> list[tuple[str, str]]:
             raise DataFormatError(
                 f"manifest line {ln} must be 'image<TAB>mask', got {raw!r}", path
             )
-        pairs.append((parts[0], parts[1]))
-    return pairs
+        yield ln, parts[0], parts[1]
+
+
+def read_manifest(path) -> list[tuple[str, str]]:
+    return [(img, msk) for _, img, msk in _manifest_entries(path)]
 
 
 def load_manifest_samples(path) -> list[Sample]:
+    """Read every manifest pair; relative paths are taken from the manifest's
+    directory. An image and mask of different sizes are a data error."""
     base = Path(path).parent
     samples = []
-    for img_path, mask_path in read_manifest(path):
-        img_p = base / img_path if not Path(img_path).is_absolute() else Path(img_path)
-        msk_p = base / mask_path if not Path(mask_path).is_absolute() else Path(mask_path)
-        samples.append(
-            Sample(image=read_ppm(img_p), mask=read_mask(msk_p), id=Path(img_path).stem)
-        )
+    for ln, img_path, mask_path in _manifest_entries(path):
+        image, mask = read_ppm(base / img_path), read_mask(base / mask_path)
+        if mask.shape != image.shape[:2]:
+            raise DataFormatError(
+                f"manifest line {ln}: image {image.shape[:2]} and mask {mask.shape} "
+                "have different sizes",
+                path,
+            )
+        samples.append(Sample(image=image, mask=mask, id=Path(img_path).stem))
     return samples

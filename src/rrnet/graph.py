@@ -1,9 +1,10 @@
 """Spatial and channel relational reasoning on data-dependent graphs.
 
-A feature map becomes a vertex-feature matrix (pixels or channels as
-vertexes), a learned non-negative adjacency is built from projected
-features, and the features are propagated through the symmetric normalized
-Laplacian followed by a trainable square weight matrix.
+An H x W x C feature map is reshaped into a vertex-feature matrix M: H*W x C
+for spatial reasoning (pixels are the vertexes), its transpose for channel
+reasoning. A learned non-negative adjacency is built from projected rows of
+M, and the features are propagated through the symmetric normalized
+Laplacian followed by a trainable square weight matrix: relu(L M Theta).
 """
 
 from __future__ import annotations
@@ -28,11 +29,8 @@ from .tensor import (
 )
 
 __all__ = [
-    "GraphFeatures",
     "ReasoningParams",
     "NonLocalParams",
-    "build_graph",
-    "invert_graph",
     "canonical_vertex_order",
     "adjacency",
     "normalized_laplacian",
@@ -45,27 +43,6 @@ __all__ = [
 ]
 
 DEGREE_EPS = 1e-6
-
-
-@dataclass
-class GraphFeatures:
-    """A vertex-feature matrix plus the reshape provenance to invert it.
-
-    spatial mode: a1 = H*W vertexes, a2 = C features (vertex k is pixel
-    (k // W, k % W)); channel mode: a1 = C vertexes, a2 = H*W features.
-    """
-
-    matrix: Tensor
-    origin_shape: tuple[int, int, int]
-    mode: str
-
-    @property
-    def num_vertexes(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass
@@ -118,31 +95,6 @@ def init_reasoning_params(
     return p
 
 
-def build_graph(x: Tensor, mode: str) -> GraphFeatures:
-    """Reshape an H x W x C feature map into a vertex-feature matrix."""
-    if x.ndim != 3:
-        raise ValueError(f"build_graph needs a rank-3 HxWxC input, got shape {x.shape}")
-    if mode not in ("spatial", "channel"):
-        raise ValueError(f"unknown graph mode '{mode}'")
-    h, w, c = x.shape
-    flat = reshape(x, (h * w, c))
-    matrix = flat if mode == "spatial" else transpose(flat)
-    return GraphFeatures(matrix=matrix, origin_shape=(h, w, c), mode=mode)
-
-
-def invert_graph(g: GraphFeatures, matrix: Tensor | None = None) -> Tensor:
-    """Round-trip a vertex-feature matrix back to the original H x W x C layout."""
-    m = g.matrix if matrix is None else matrix
-    h, w, c = g.origin_shape
-    if g.mode == "spatial":
-        if m.shape != (h * w, c):
-            raise ValueError(f"matrix shape {m.shape} does not match spatial graph ({h * w}, {c})")
-        return reshape(m, (h, w, c))
-    if m.shape != (c, h * w):
-        raise ValueError(f"matrix shape {m.shape} does not match channel graph ({c}, {h * w})")
-    return reshape(transpose(m), (h, w, c))
-
-
 def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
     """A vertex ordering that depends only on vertex content, not layout.
 
@@ -158,10 +110,10 @@ def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(cols)
 
 
-def adjacency(g: GraphFeatures, p: ReasoningParams) -> Tensor:
-    """Non-negative pairwise vertex similarity with a learned diagonal metric."""
-    m = g.matrix
-    a2 = g.feature_dim
+def adjacency(m: Tensor, p: ReasoningParams) -> Tensor:
+    """Non-negative pairwise similarity of the rows (vertexes) of m, with a
+    learned diagonal metric."""
+    a2 = m.shape[1]
     if p.proj_w.shape != (a2, a2) or p.theta.shape != (a2, a2):
         raise ValueError(
             f"reasoning params sized for feature dim {p.proj_w.shape[0]}, graph has {a2}"
@@ -195,34 +147,40 @@ def normalized_laplacian(adj: Tensor, eps: float = DEGREE_EPS) -> Tensor:
     return eye + adj * scale * -1.0
 
 
-def graph_reason(g: GraphFeatures, p: ReasoningParams, laplacian: Tensor | None = None) -> Tensor:
-    """relu(L G Theta) mapped back to the original feature-map layout.
+def graph_reason(m: Tensor, p: ReasoningParams) -> Tensor:
+    """relu(L M Theta) for a vertex-feature matrix M (one row per vertex).
 
-    Without an explicit Laplacian the full pipeline runs in canonical vertex
-    order (see canonical_vertex_order), so results do not depend on how the
+    The pipeline runs in canonical vertex order (see canonical_vertex_order)
+    and the rows are put back afterwards, so results do not depend on how the
     caller happened to label the vertexes.
     """
-    if laplacian is not None:
-        out = relu(laplacian @ g.matrix @ p.theta)
-        return invert_graph(g, out)
-    order = canonical_vertex_order(g.matrix.data)
-    m = take_rows(g.matrix, order)
-    gc = GraphFeatures(matrix=m, origin_shape=g.origin_shape, mode=g.mode)
-    lap = normalized_laplacian(adjacency(gc, p))
-    out = relu(lap @ m @ p.theta)
-    out = take_rows(out, np.argsort(order))
-    return invert_graph(g, out)
+    order = canonical_vertex_order(m.data)
+    mc = take_rows(m, order)
+    lap = normalized_laplacian(adjacency(mc, p))
+    out = relu(lap @ mc @ p.theta)
+    return take_rows(out, np.argsort(order))
+
+
+def _hwc(x: Tensor, name: str) -> tuple[int, int, int]:
+    if x.ndim != 3:
+        raise ValueError(f"{name} needs a rank-3 HxWxC input, got shape {x.shape}")
+    return x.shape
 
 
 def srr(x: Tensor, p: ReasoningParams, residual: bool = False) -> Tensor:
-    """Spatial relational reasoning: graph over the H*W pixel positions."""
-    out = graph_reason(build_graph(x, "spatial"), p)
+    """Spatial relational reasoning: the H*W pixels are the vertexes, vertex
+    k being pixel (k // W, k % W) with its C channel values as features."""
+    h, w, c = _hwc(x, "srr")
+    out = reshape(graph_reason(reshape(x, (h * w, c)), p), (h, w, c))
     return x + out if residual else out
 
 
 def crr(x: Tensor, p: ReasoningParams, residual: bool = False) -> Tensor:
-    """Channel relational reasoning: graph over the C channels."""
-    out = graph_reason(build_graph(x, "channel"), p)
+    """Channel relational reasoning: the C channels are the vertexes, each
+    described by its H*W pixel values."""
+    h, w, c = _hwc(x, "crr")
+    out = graph_reason(transpose(reshape(x, (h * w, c))), p)
+    out = reshape(transpose(out), (h, w, c))
     return x + out if residual else out
 
 
@@ -263,9 +221,7 @@ def init_nonlocal_params(channels: int, seed, dtype=np.float32) -> NonLocalParam
 
 def non_local_block(x: Tensor, p: NonLocalParams) -> Tensor:
     """Embedded-Gaussian non-local attention with a residual connection."""
-    if x.ndim != 3:
-        raise ValueError(f"non_local_block needs a rank-3 HxWxC input, got shape {x.shape}")
-    h, w, c = x.shape
+    h, w, c = _hwc(x, "non_local_block")
     if p.theta_w.shape[0] != c:
         raise ValueError(
             f"non-local params sized for {p.theta_w.shape[0]} channels, input has {c}"

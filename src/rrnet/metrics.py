@@ -18,7 +18,6 @@ __all__ = [
     "mae",
     "pr_curve",
     "f_measure",
-    "adaptive_f_measure",
     "s_measure",
     "e_measure",
     "MetricReport",
@@ -94,22 +93,6 @@ def _f_max(curve: np.ndarray, beta_sq: float = 0.3) -> float:
     denom = beta_sq * p + r
     f = np.where(denom > 0, (1.0 + beta_sq) * p * r / np.where(denom > 0, denom, 1.0), 0.0)
     return float(f.max())
-
-
-def adaptive_f_measure(s: np.ndarray, gt: np.ndarray, beta_sq: float = 0.3) -> float:
-    """F at the single adaptive threshold min(2 * mean(s), 1)."""
-    s, gt = _check_pair(s, gt)
-    pos = gt == 1.0
-    if not pos.any():
-        raise ValueError("ground truth has no positive pixels; F-measure is undefined")
-    tau = min(2.0 * _cmean(s), 1.0)
-    pred = s >= tau
-    tp = int((pred & pos).sum())
-    n_pred = int(pred.sum())
-    precision = tp / n_pred if n_pred else 1.0
-    recall = tp / int(pos.sum())
-    denom = beta_sq * precision + recall
-    return (1.0 + beta_sq) * precision * recall / denom if denom > 0 else 0.0
 
 
 # -- S-measure ------------------------------------------------------------------

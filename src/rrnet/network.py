@@ -3,7 +3,7 @@ attention-modulated decoder, prediction head, and the class-balanced loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +30,6 @@ __all__ = [
     "NetworkParams",
     "SaliencyPrediction",
     "init_network_params",
-    "backbone_forward",
     "encode",
     "decode_fuse",
     "predict",
@@ -95,29 +94,40 @@ class NetworkConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "NetworkConfig":
-        kv = parse_kv_text(text)
-        return cls.from_mapping(kv)
+        return from_mapping(cls, parse_kv_text(text))
 
-    @classmethod
-    def from_mapping(cls, kv: dict[str, str]) -> "NetworkConfig":
-        """Parse each value by the type of its field's default; a single
-        input_size value means a square."""
-        kinds = {f.name: type(f.default) for f in fields(cls)}
-        kwargs = {}
-        for key, value in kv.items():
-            kind = kinds.get(key)
-            if kind is None:
-                raise ValueError(f"unknown config key '{key}'")
-            if kind is bool:
-                kwargs[key] = _parse_bool(key, value)
-            elif kind is int:
-                kwargs[key] = int(value)
-            elif kind is tuple:
-                parts = tuple(int(x) for x in value.split(","))
-                kwargs[key] = parts * 2 if key == "input_size" and len(parts) == 1 else parts
-            else:
-                kwargs[key] = value
-        return cls(**kwargs)
+
+def from_mapping(cls, kv: dict[str, str]):
+    """Build the dataclass cls from string values, each parsed by the type of
+    its field's default; a single input_size value means a square."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    kwargs = {}
+    for key, value in kv.items():
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"unknown config key '{key}'")
+        kwargs[key] = _parse_value(key, value, kind)
+    return cls(**kwargs)
+
+
+_EXPECTS = {bool: "a boolean", int: "an integer", float: "a number", tuple: "a comma list of integers"}
+
+
+def _parse_value(key: str, value: str, kind: type):
+    try:
+        if kind is bool:
+            v = value.strip().lower()
+            if v in ("true", "1", "yes", "on"):
+                return True
+            if v in ("false", "0", "no", "off"):
+                return False
+            raise ValueError(value)
+        if kind is tuple:
+            parts = tuple(int(x) for x in value.split(","))
+            return parts * 2 if key == "input_size" and len(parts) == 1 else parts
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"config key '{key}' expects {_EXPECTS[kind]}, got '{value}'") from None
 
 
 def _format_value(value) -> str:
@@ -126,15 +136,6 @@ def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(str(x) for x in value)
     return str(value)
-
-
-def _parse_bool(key: str, value: str) -> bool:
-    v = value.strip().lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"config key '{key}' expects a boolean, got '{value}'")
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -156,7 +157,6 @@ class SaliencyPrediction:
     """A saliency map in (0, 1) at the input resolution."""
 
     map: Tensor
-    per_stage_features: dict | None = None
 
 
 @dataclass
@@ -199,9 +199,6 @@ class NetworkParams:
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
             p.zero_grad()
-
-    def as_dict(self) -> dict[str, Tensor]:
-        return dict(self.named_parameters())
 
 
 def _conv_params(rng, k: int, cin: int, cout: int, dtype) -> ConvParams:
@@ -282,22 +279,12 @@ def _check_image(image: Tensor) -> None:
         )
 
 
-def backbone_forward(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> list[Tensor]:
-    """Plain five-stage feature pyramid; stage s has stride 2**s."""
-    _check_image(image)
-    feats = []
-    h = image
-    for stage in params.stages:
-        h = _stage_forward(h, stage)
-        feats.append(h)
-    return feats
-
-
 def encode(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> list[Tensor]:
     """Backbone with relational reasoning after each high-level stage.
 
     The reasoning output replaces the stage features and feeds the next
-    stage. Returns [X1, X2, F3, F4, F5].
+    stage. Returns [X1, X2, F3, F4, F5]; stage s has stride 2**s. With the
+    SRR, CRR and non-local toggles off this is the plain feature pyramid.
     """
     _check_image(image)
     feats = []
@@ -341,20 +328,15 @@ def decode_fuse(
     return conv2d(concat([up, f_e], axis=2), conv.w, conv.b)
 
 
-def predict(
-    image: Tensor, params: NetworkParams, cfg: NetworkConfig, capture: bool = False
-) -> SaliencyPrediction:
+def predict(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> SaliencyPrediction:
     """Full forward pass producing a saliency map at the input resolution."""
     feats = encode(image, params, cfg)
-    captured: dict = {"encoder": feats} if capture else None
     f_d = feats[4]  # decoder seed: the deepest encoder output
-    attention_maps = {}
     for s in (5, 4, 3, 2):
         f_e = feats[s - 2]
         a_f = None
         if s in (2, 3) and cfg.use_pma:
             a_f = A.pma(f_e, params.pma[s - 1], branch=cfg.pma_branch)
-            attention_maps[s - 1] = a_f
         f_d = decode_fuse(f_d, f_e, a_f, params.decoder[s])
     # the first head conv runs at stage-1 resolution; the remaining two run
     # after the 2x upsample so the map is refined at input resolution
@@ -363,11 +345,7 @@ def predict(
     h = upsample2x(h)
     h = relu(conv2d(h, params.head[1].w, params.head[1].b))
     m = sigmoid(conv2d(h, params.head[2].w, params.head[2].b))
-    saliency = reshape(m, m.shape[:2])
-    if capture:
-        captured["attention"] = attention_maps
-        captured["decoder"] = f_d
-    return SaliencyPrediction(map=saliency, per_stage_features=captured)
+    return SaliencyPrediction(map=reshape(m, m.shape[:2]))
 
 
 # -- loss ---------------------------------------------------------------------

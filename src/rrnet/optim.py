@@ -34,19 +34,17 @@ class LinearSchedule:
 
 
 class Adam:
-    """Standard ADAM over a fixed, ordered collection of named parameters."""
+    """Standard ADAM over a fixed, ordered dict of named parameters."""
 
     def __init__(
         self,
-        params,
+        params: dict[str, Tensor],
         schedule: LinearSchedule,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if isinstance(params, dict):
-            params = list(params.items())
-        self.params: list[tuple[str, Tensor]] = list(params)
+        self.params: list[tuple[str, Tensor]] = list(params.items())
         self.schedule = schedule
         self.beta1 = beta1
         self.beta2 = beta2

@@ -23,6 +23,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def train_with_config(tmp_path, capsys, text, *flags):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("stage_channels=2,2,3,3,3\ndecoder_width=4\ninput_size=32\n" + text)
+    return run(
+        capsys, "train", "--synthetic", "1", "--config", str(cfgfile),
+        "--out", str(tmp_path / "m.ck"), *flags,
+    )
+
+
+def replace_config_blob(ck, blob: bytes) -> None:
+    data = ck.read_bytes()
+    cfg_len = int.from_bytes(data[12:16], "little")
+    ck.write_bytes(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + cfg_len :])
+
+
 class TestGenData:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
         code, out, _ = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", "4", "--seed", "3", "--size", "32")
@@ -123,6 +138,35 @@ class TestTrain:
         assert code == EXIT_USAGE
         assert "nonsense" in err
 
+    def test_bad_boolean_config_value_is_usage_error(self, tmp_path, capsys):
+        code, _, err = train_with_config(tmp_path, capsys, "iterations=0\naugment=banana\n")
+        assert code == EXIT_USAGE
+        assert err == "usage error: config key 'augment' expects a boolean, got 'banana'\n"
+
+    def test_bad_integer_config_value_names_its_key(self, tmp_path, capsys):
+        code, _, err = train_with_config(tmp_path, capsys, "iterations=0\nseed=x\n")
+        assert code == EXIT_USAGE
+        assert "'seed'" in err and len(err.splitlines()) == 1
+
+    def test_flags_override_config_training_keys(self, tmp_path, capsys):
+        code, out, _ = train_with_config(
+            tmp_path, capsys, "iterations=3\nlr_initial=1e-3\naugment=true\n", "--iters", "0"
+        )
+        assert code == EXIT_OK
+        assert [ln for ln in out.splitlines() if "\t" in ln] == []
+
+    def test_manifest_pair_size_mismatch_is_data_error(self, tmp_path, capsys):
+        run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", "1", "--seed", "0", "--size", "64")
+        mask = next((tmp_path / "d" / "masks").glob("*.pgm"))
+        write_pgm(mask, np.zeros((32, 32)))
+        code, _, err = run(
+            capsys, "train", "--manifest", str(tmp_path / "d" / "manifest.txt"),
+            "--iters", "0", "--out", str(tmp_path / "m.ck"), *TINY_NET,
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error: manifest line 1:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ck").exists()
+
     def test_ablation_toggles(self, tmp_path, capsys):
         ck = tmp_path / "m.ck"
         code, _, _ = run(
@@ -176,16 +220,25 @@ class TestInfer:
     def test_checkpoint_with_bad_config_is_data_error(self, tmp_path, capsys):
         ck = tmp_path / "model.ck"
         save_checkpoint([], NetworkConfig(), ck)
-        data = ck.read_bytes()
-        cfg_len = int.from_bytes(data[12:16], "little")
-        blob = b"bogus=1\n"
-        ck.write_bytes(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + cfg_len :])
+        replace_config_blob(ck, b"bogus=1\n")
         code, _, err = run(
             capsys, "infer", "--checkpoint", str(ck),
             "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
         )
         assert code == EXIT_DATA
         assert err.startswith("data error:") and "bogus" in err
+        assert len(err.splitlines()) == 1
+
+    def test_checkpoint_config_bad_value_names_its_key(self, tmp_path, capsys):
+        ck = tmp_path / "model.ck"
+        save_checkpoint([], NetworkConfig(), ck)
+        replace_config_blob(ck, b"decoder_width=wide\n")
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and "'decoder_width'" in err
         assert len(err.splitlines()) == 1
 
     def test_corrupt_image_is_data_error(self, trained, capsys):
@@ -320,6 +373,22 @@ class TestEval:
             "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
         )
         assert code == EXIT_OK
+
+
+    def test_bad_rrnet_threads_is_usage_error_naming_it(self, tmp_path, capsys, rng, monkeypatch):
+        monkeypatch.setenv("RRNET_THREADS", "abc")
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
+        gt[0, 0] = 1.0
+        self._write_pair(pred_d, gt_d, "s0", gt, gt)
+        code, _, err = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
+            "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error:") and "RRNET_THREADS" in err
+        assert len(err.splitlines()) == 1
 
 
 class TestSelfCheck:

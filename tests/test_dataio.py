@@ -14,6 +14,7 @@ from rrnet.dataio import (
     Sample,
     augment7,
     load_checkpoint,
+    load_manifest_samples,
     read_manifest,
     read_mask,
     read_pgm,
@@ -345,3 +346,13 @@ class TestManifest:
         path.write_text("only_one_field\n")
         with pytest.raises(DataFormatError, match="image<TAB>mask"):
             read_manifest(path)
+
+    def test_pair_of_different_sizes_names_its_line(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((8, 8, 3)))
+        write_pgm(tmp_path / "a.pgm", np.zeros((8, 8)))
+        write_ppm(tmp_path / "b.ppm", np.zeros((8, 8, 3)))
+        write_pgm(tmp_path / "b.pgm", np.zeros((4, 4)))
+        path = tmp_path / "manifest.txt"
+        path.write_text("a.ppm\ta.pgm\n\nb.ppm\tb.pgm\n")
+        with pytest.raises(DataFormatError, match=r"manifest line 3: image \(8, 8\) and mask \(4, 4\)"):
+            load_manifest_samples(path)

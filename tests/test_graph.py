@@ -4,21 +4,18 @@ import numpy as np
 import pytest
 
 from rrnet.graph import (
-    GraphFeatures,
     ReasoningParams,
     adjacency,
-    build_graph,
     canonical_vertex_order,
     crr,
     graph_reason,
     init_nonlocal_params,
     init_reasoning_params,
-    invert_graph,
     non_local_block,
     normalized_laplacian,
     srr,
 )
-from rrnet.tensor import Tensor, take_rows
+from rrnet.tensor import Tensor, relu, reshape, take_rows, transpose
 
 
 def identity_params(a2, lam_bias=1.0, dtype=np.float64):
@@ -33,54 +30,22 @@ def identity_params(a2, lam_bias=1.0, dtype=np.float64):
     )
 
 
-class TestBuildGraph:
-    def test_spatial_rows_are_pixel_channel_vectors(self, rng):
-        x = rng.standard_normal((2, 2, 3))
-        g = build_graph(Tensor(x, dtype=np.float64), "spatial")
-        assert g.matrix.shape == (4, 3)
-        assert np.array_equal(g.matrix.data[0], x[0, 0])
-        assert np.array_equal(g.matrix.data[3], x[1, 1])
-
-    def test_channel_matrix_is_spatial_transpose(self, rng):
-        x = Tensor(rng.standard_normal((2, 2, 3)), dtype=np.float64)
-        gs = build_graph(x, "spatial")
-        gc = build_graph(x, "channel")
-        assert gc.matrix.shape == (3, 4)
-        assert np.array_equal(gc.matrix.data, gs.matrix.data.T)
-
-    def test_round_trip_bit_identical(self, rng):
-        x = rng.standard_normal((3, 5, 4)).astype(np.float32)
-        for mode in ("spatial", "channel"):
-            g = build_graph(Tensor(x), mode)
-            back = invert_graph(g)
-            assert np.array_equal(back.data, x)
-
-    def test_rank_and_mode_validation(self):
-        with pytest.raises(ValueError, match="rank-3"):
-            build_graph(Tensor(np.zeros((3, 3))), "spatial")
-        with pytest.raises(ValueError, match="unknown graph mode"):
-            build_graph(Tensor(np.zeros((2, 2, 2))), "diagonal")
-
-
 class TestAdjacency:
     def test_gram_of_identity_rows(self):
-        g = GraphFeatures(Tensor(np.eye(2), dtype=np.float64), (1, 2, 2), "spatial")
-        adj = adjacency(g, identity_params(2))
+        adj = adjacency(Tensor(np.eye(2), dtype=np.float64), identity_params(2))
         assert np.allclose(adj.data, np.eye(2), atol=1e-12)
 
     def test_zero_projected_row_zeroes_row_and_column(self, rng):
         m = rng.uniform(0.1, 1.0, size=(4, 3))
         m[2] = -1.0  # relu of the identity projection kills this vertex
-        g = GraphFeatures(Tensor(m, dtype=np.float64), (2, 2, 3), "spatial")
-        adj = adjacency(g, identity_params(3)).data
+        adj = adjacency(Tensor(m, dtype=np.float64), identity_params(3)).data
         assert np.array_equal(adj[2], np.zeros(4))
         assert np.array_equal(adj[:, 2], np.zeros(4))
 
     def test_matches_double_loop_oracle(self, rng):
         m = rng.standard_normal((5, 4))
         p = init_reasoning_params(4, rng, dtype=np.float64)
-        g = GraphFeatures(Tensor(m, dtype=np.float64), (1, 5, 4), "spatial")
-        got = adjacency(g, p).data
+        got = adjacency(Tensor(m, dtype=np.float64), p).data
         # independent scalar pipeline: x_i^T Lambda x_j over projected rows
         proj = np.maximum(m @ p.proj_w.data + p.proj_b.data, 0.0)
         lam = np.maximum(m.mean(axis=0) @ p.lambda_w.data + p.lambda_b.data, 0.0)
@@ -94,8 +59,7 @@ class TestAdjacency:
         for _ in range(10):
             m = rng.standard_normal((8, 6)).astype(np.float32)
             p = init_reasoning_params(6, rng)
-            g = GraphFeatures(Tensor(m), (2, 4, 6), "spatial")
-            adj = adjacency(g, p).data
+            adj = adjacency(Tensor(m), p).data
             assert np.array_equal(adj, adj.T)
             assert (adj >= 0).all()
 
@@ -103,15 +67,13 @@ class TestAdjacency:
         p = init_reasoning_params(4, rng, dtype=np.float64, shared_projection=False)
         assert not p.shared_projection
         m = rng.standard_normal((5, 4))
-        g = GraphFeatures(Tensor(m, dtype=np.float64), (1, 5, 4), "spatial")
-        adj = adjacency(g, p).data
+        adj = adjacency(Tensor(m, dtype=np.float64), p).data
         assert adj.shape == (5, 5)
 
     def test_dimension_mismatch_rejected(self, rng):
         p = init_reasoning_params(3, rng)
-        g = GraphFeatures(Tensor(np.zeros((5, 4))), (1, 5, 4), "spatial")
         with pytest.raises(ValueError, match="feature dim"):
-            adjacency(g, p)
+            adjacency(Tensor(np.zeros((5, 4))), p)
 
 
 class TestNormalizedLaplacian:
@@ -145,25 +107,16 @@ class TestNormalizedLaplacian:
 
 class TestGraphReason:
     def test_constant_signal_annihilated_by_uniform_adjacency(self):
-        # constant rows + all-ones adjacency: L G = 0, relu keeps it zero
+        # identical rows give a uniform adjacency, so L M = 0 and relu keeps it zero
         m = np.tile([1.5, -0.5, 2.0], (4, 1))
-        g = GraphFeatures(Tensor(m, dtype=np.float64), (2, 2, 3), "spatial")
-        lap = normalized_laplacian(Tensor(np.ones((4, 4)), dtype=np.float64))
-        out = graph_reason(g, identity_params(3), laplacian=lap)
+        out = graph_reason(Tensor(m, dtype=np.float64), identity_params(3))
+        assert out.shape == (4, 3)
         assert np.abs(out.data).max() < 1e-12
-
-    def test_identity_laplacian_gives_relu_of_input(self, rng):
-        m = rng.standard_normal((4, 3))
-        g = GraphFeatures(Tensor(m, dtype=np.float64), (2, 2, 3), "spatial")
-        lap = Tensor(np.eye(4), dtype=np.float64)
-        out = graph_reason(g, identity_params(3), laplacian=lap)
-        assert np.array_equal(out.data, np.maximum(m, 0.0).reshape(2, 2, 3))
 
     def test_matches_dense_matmul_oracle(self, rng):
         x = rng.standard_normal((2, 2, 3))
         p = init_reasoning_params(3, rng, dtype=np.float64)
-        g = build_graph(Tensor(x, dtype=np.float64), "spatial")
-        got = graph_reason(g, p).data
+        got = graph_reason(Tensor(x.reshape(4, 3), dtype=np.float64), p).data
         # from-scratch oracle in canonical order, plain numpy throughout
         m = x.reshape(4, 3)
         order = canonical_vertex_order(m)
@@ -176,7 +129,7 @@ class TestGraphReason:
         scale = np.outer(deg**-0.5, deg**-0.5)
         lap = np.eye(4) - adj * scale
         core = np.maximum(lap @ mc @ p.theta.data, 0.0)
-        expect = core[np.argsort(order)].reshape(2, 2, 3)
+        expect = core[np.argsort(order)]
         assert np.abs(got - expect).max() < 1e-10
 
 
@@ -215,23 +168,20 @@ class TestSrrCrr:
         x = Tensor(rng.standard_normal((4, 4, 8)), dtype=np.float64)
         p = init_reasoning_params(8, rng, dtype=np.float64)
         got = srr(x, p).data
-        g = build_graph(x, "spatial")
-        order = canonical_vertex_order(g.matrix.data)
-        mc = take_rows(g.matrix, order)
-        gc = GraphFeatures(mc, g.origin_shape, g.mode)
-        from rrnet.tensor import relu
-
-        lap = normalized_laplacian(adjacency(gc, p))
+        m = reshape(x, (16, 8))
+        order = canonical_vertex_order(m.data)
+        mc = take_rows(m, order)
+        lap = normalized_laplacian(adjacency(mc, p))
         core = relu(lap @ mc @ p.theta)
-        stepwise = invert_graph(g, take_rows(core, np.argsort(order))).data
+        stepwise = reshape(take_rows(core, np.argsort(order)), (4, 4, 8)).data
         assert np.array_equal(got, stepwise)
 
     def test_crr_matches_stepwise_oracle(self, rng):
         x = Tensor(rng.standard_normal((4, 4, 3)), dtype=np.float64)
         p = init_reasoning_params(16, rng, dtype=np.float64)
         got = crr(x, p).data
-        g = build_graph(x, "channel")
-        got2 = graph_reason(g, p).data
+        m = transpose(reshape(x, (16, 3)))  # one row per channel
+        got2 = reshape(transpose(graph_reason(m, p)), (4, 4, 3)).data
         assert np.array_equal(got, got2)
 
     def test_shapes_preserved(self, rng):
@@ -240,6 +190,11 @@ class TestSrrCrr:
         pc = init_reasoning_params(32, rng)
         assert srr(x, ps).shape == x.shape
         assert crr(x, pc).shape == x.shape
+
+    def test_rank3_input_required(self, rng):
+        for fn, p in ((srr, init_reasoning_params(3, rng)), (crr, init_reasoning_params(9, rng))):
+            with pytest.raises(ValueError, match="rank-3"):
+                fn(Tensor(np.zeros((9, 3))), p)
 
     def test_residual_flag(self, rng):
         x = Tensor(rng.standard_normal((2, 2, 4)), dtype=np.float64)

@@ -8,7 +8,6 @@ import pytest
 
 from rrnet.metrics import (
     THRESHOLDS,
-    adaptive_f_measure,
     e_measure,
     evaluate_pairs,
     f_measure,
@@ -218,11 +217,6 @@ class TestFMeasure:
             p, r = curve[k]
             f = 1.3 * p * r / (0.3 * p + r) if (0.3 * p + r) > 0 else 0.0
             assert best >= f - 1e-12
-
-    def test_adaptive_variant_bounded_by_max(self, rng):
-        for _ in range(10):
-            s, gt = random_pair(rng)
-            assert adaptive_f_measure(s, gt) <= f_measure(s, gt) + 1e-9
 
 
 class TestSMeasure:

@@ -3,6 +3,7 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from rrnet.network import (
     NetworkConfig,
     balanced_bce_loss,
     bce_loss,
-    backbone_forward,
     decode_fuse,
     encode,
     init_network_params,
     predict,
 )
-from rrnet.tensor import Tensor
+from rrnet.tensor import Tensor, conv2d, relu
 
 TINY = dict(stage_channels=(3, 4, 6, 6, 6), decoder_width=6, input_size=(64, 64))
 
@@ -28,6 +28,11 @@ def tiny_cfg(**kw):
 
 def make_image(rng, size=64, dtype=np.float32):
     return Tensor(rng.uniform(size=(size, size, 3)).astype(dtype))
+
+
+def backbone(image, params, cfg):
+    """The plain feature pyramid: encode with relational reasoning off."""
+    return encode(image, params, replace(cfg, use_srr=False, use_crr=False))
 
 
 class TestConfig:
@@ -61,20 +66,20 @@ class TestBackbone:
     def test_224_stage_sizes(self, rng):
         cfg = NetworkConfig(stage_channels=(2, 2, 2, 2, 2), input_size=(224, 224))
         params = init_network_params(cfg, seed=0)
-        feats = backbone_forward(make_image(rng, 224), params, cfg)
+        feats = backbone(make_image(rng, 224), params, cfg)
         assert [f.shape[0] for f in feats] == [112, 56, 28, 14, 7]
 
     def test_64_stage_sizes_and_channels(self, rng):
         cfg = tiny_cfg()
         params = init_network_params(cfg, seed=0)
-        feats = backbone_forward(make_image(rng), params, cfg)
+        feats = backbone(make_image(rng), params, cfg)
         assert [f.shape[:2] for f in feats] == [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2)]
         assert [f.shape[2] for f in feats] == list(cfg.stage_channels)
 
     def test_zero_image_zero_bias_gives_zero_features(self):
         cfg = tiny_cfg()
         params = init_network_params(cfg, seed=0)
-        feats = backbone_forward(Tensor(np.zeros((64, 64, 3), dtype=np.float32)), params, cfg)
+        feats = backbone(Tensor(np.zeros((64, 64, 3), dtype=np.float32)), params, cfg)
         for f in feats:
             assert np.abs(f.data).max() == 0.0
 
@@ -82,7 +87,7 @@ class TestBackbone:
         cfg = tiny_cfg()
         params = init_network_params(cfg, seed=0)
         with pytest.raises(ValueError, match="divisible by 32"):
-            backbone_forward(Tensor(rng.uniform(size=(60, 60, 3))), params, cfg)
+            backbone(Tensor(rng.uniform(size=(60, 60, 3))), params, cfg)
 
 
 class TestEncode:
@@ -90,17 +95,18 @@ class TestEncode:
         cfg = tiny_cfg(use_srr=False, use_crr=False)
         params = init_network_params(cfg, seed=3)
         img = make_image(rng)
-        enc = encode(img, params, cfg)
-        raw = backbone_forward(img, params, cfg)
-        for a, b in zip(enc, raw):
-            assert np.array_equal(a.data, b.data)
+        h = img
+        for stage, f in zip(params.stages, encode(img, params, cfg)):
+            for i, c in enumerate(stage.convs):
+                h = relu(conv2d(h, c.w, c.b, stride=2 if i == 0 else 1))
+            assert np.array_equal(f.data, h.data)
 
     def test_reasoned_stages_differ_and_feed_forward(self, rng):
         cfg = tiny_cfg()
         params = init_network_params(cfg, seed=3)
         img = make_image(rng)
         enc = encode(img, params, cfg)
-        raw = backbone_forward(img, params, cfg)
+        raw = backbone(img, params, cfg)
         assert np.array_equal(enc[0].data, raw[0].data)
         assert np.array_equal(enc[1].data, raw[1].data)
         assert not np.array_equal(enc[2].data, raw[2].data)
@@ -248,13 +254,6 @@ class TestPredict:
             gc.enable()
             tracemalloc.stop()
         assert left - base < 0.1 * (peak - base), (left - base, peak - base)
-
-    def test_capture_diagnostics(self, rng):
-        cfg = tiny_cfg()
-        params = init_network_params(cfg, seed=5)
-        pred = predict(make_image(rng), params, cfg, capture=True)
-        assert set(pred.per_stage_features) == {"encoder", "attention", "decoder"}
-        assert sorted(pred.per_stage_features["attention"]) == [1, 2]
 
 
 class TestLoss:
