@@ -59,6 +59,13 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a comma list of integers, got '{text}'") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rrnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -87,7 +94,7 @@ def _build_parser() -> _Parser:
         help="training resolution, divisible by 32 (default 64 unless the config file sets input_size)",
     )
     p.add_argument("--decoder-width", type=int, default=None)
-    p.add_argument("--stage-channels", default=None, help="comma list of 5 stage widths")
+    p.add_argument("--stage-channels", type=_int_list, default=None, help="comma list of 5 stage widths")
     p.add_argument("--no-augment", action="store_true")
     p.add_argument("--no-pma", action="store_true")
     p.add_argument("--no-srr", action="store_true")
@@ -141,7 +148,7 @@ def _network_config_from_args(args, file_kv: dict[str, str]) -> NetworkConfig:
     if args.decoder_width is not None:
         overrides["decoder_width"] = args.decoder_width
     if args.stage_channels is not None:
-        overrides["stage_channels"] = tuple(int(x) for x in args.stage_channels.split(","))
+        overrides["stage_channels"] = args.stage_channels
     if args.no_pma:
         overrides["use_pma"] = False
     if args.no_srr:

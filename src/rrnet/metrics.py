@@ -45,17 +45,20 @@ def _check_pair(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gt = np.asarray(gt, dtype=np.float64)
     if s.shape != gt.shape:
         raise ValueError(f"prediction {s.shape} and ground truth {gt.shape} differ in shape")
-    if s.min() < 0.0 or s.max() > 1.0:
-        raise ValueError(f"saliency values must lie in [0, 1], got range [{s.min()}, {s.max()}]")
-    values = np.unique(gt)
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise ValueError(f"ground truth must be binary 0/1, found values {values[:8]}")
+    lo, hi = s.min(), s.max()
+    if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
+        raise ValueError(f"saliency values must lie in [0, 1] and not be NaN, got range [{lo}, {hi}]")
+    if ((gt != 0.0) & (gt != 1.0)).any():
+        raise ValueError(f"ground truth must be binary 0/1, found values {np.unique(gt)[:8]}")
     return s, gt
 
 
 def mae(s: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute per-pixel difference."""
-    s, gt = _check_pair(s, gt)
+    return _mae(*_check_pair(s, gt))
+
+
+def _mae(s: np.ndarray, gt: np.ndarray) -> float:
     return _cmean(np.abs(s - gt))
 
 
@@ -66,14 +69,22 @@ def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
     prediction has no false positives, so its precision is defined as 1.
     """
     s, gt = _check_pair(s, gt)
-    pos = gt == 1.0
-    n_pos = int(pos.sum())
+    n_pos = int(np.count_nonzero(gt))
     if n_pos == 0:
         raise ValueError("ground truth has no positive pixels; P-R curve is undefined")
-    # highest threshold index each pixel still clears
-    k_max = np.searchsorted(THRESHOLDS, s.ravel(), side="right") - 1
-    hist_all = np.bincount(k_max, minlength=256)
-    hist_pos = np.bincount(k_max[pos.ravel()], minlength=256)
+    return _pr_curve(s, gt, n_pos)
+
+
+def _pr_curve(s: np.ndarray, gt: np.ndarray, n_pos: int) -> np.ndarray:
+    # highest threshold index each pixel still clears, which is floor(255 s)
+    # exactly: the rounded product is monotone in s, and at every threshold
+    # THRESHOLDS[k] and the float just below it fall on either side of k
+    # (checked for all 256 in the tests), so no s in [0, 1] lands in a wrong bin
+    k = (s.ravel() * 255.0).astype(np.intp)
+    # one histogram of (threshold index, is positive): negatives in 0..255, positives in 256..511
+    hist = np.bincount(k + 256 * (gt.ravel() == 1.0), minlength=512)
+    hist_pos = hist[256:]
+    hist_all = hist[:256] + hist_pos
     pred_at = np.cumsum(hist_all[::-1])[::-1]  # pixels predicted positive per threshold
     tp_at = np.cumsum(hist_pos[::-1])[::-1]
     curve = np.empty((256, 2), dtype=np.float64)
@@ -136,11 +147,12 @@ def _centroid_splits(gt: np.ndarray) -> tuple[int, int]:
     A pixel row i belongs to the top block when its center lies strictly
     above the centroid (compared exactly on integers).
     """
-    rows, cols = np.nonzero(gt)
-    n = rows.size
+    row_counts = np.count_nonzero(gt, axis=1)
+    n = int(row_counts.sum())
     if n == 0:
         return gt.shape[0] // 2, gt.shape[1] // 2
-    sum_r, sum_c = int(rows.sum()), int(cols.sum())
+    sum_r = int(np.arange(gt.shape[0]) @ row_counts)
+    sum_c = int(np.arange(gt.shape[1]) @ np.count_nonzero(gt, axis=0))
     # count of rows i with (i + 0.5) < (sum_r / n + 0.5)  <=>  i * n < sum_r
     split_r = int(np.searchsorted(np.arange(gt.shape[0]) * n, sum_r, side="left"))
     split_c = int(np.searchsorted(np.arange(gt.shape[1]) * n, sum_c, side="left"))
@@ -164,7 +176,10 @@ def _region_score(s: np.ndarray, gt: np.ndarray) -> float:
 def s_measure(s: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
     """Structure measure: alpha * object similarity + (1 - alpha) * region similarity."""
     s, gt = _check_pair(s, gt)
-    n_pos = int(gt.sum())
+    return _s_measure(s, gt, int(np.count_nonzero(gt)), alpha)
+
+
+def _s_measure(s: np.ndarray, gt: np.ndarray, n_pos: int, alpha: float = 0.5) -> float:
     if n_pos == 0:
         return 1.0 - _cmean(s)
     if n_pos == gt.size:
@@ -182,20 +197,28 @@ def s_measure(s: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
 def e_measure(s: np.ndarray, gt: np.ndarray, eps: float = 1e-8) -> float:
     """Enhanced-alignment measure on the adaptively binarized prediction."""
     s, gt = _check_pair(s, gt)
+    return _e_measure(s, gt, int(np.count_nonzero(gt)), eps)
+
+
+def _e_measure(s: np.ndarray, gt: np.ndarray, n_pos: int, eps: float = 1e-8) -> float:
+    # phi depends only on a pixel's (mask, binarized map) cell, so the mean
+    # over pixels is a count-weighted sum over the at most 4 cells
     tau = min(2.0 * _cmean(s), 1.0)
-    sb = (s >= tau).astype(np.float64)
+    sb = s >= tau
     n = gt.size
-    n_pos = int(gt.sum())
+    n_sb = int(np.count_nonzero(sb))
     if n_pos == 0:
-        phi = 1.0 - sb
-    elif n_pos == n:
-        phi = sb
-    else:
-        d_gt = gt - n_pos / n
-        d_sb = sb - int(sb.sum()) / n
-        xi = 2.0 * d_gt * d_sb / (np.square(d_gt) + np.square(d_sb) + eps)
-        phi = np.square(xi + 1.0) / 4.0
-    return _cmean(phi)
+        return (n - n_sb) / n
+    if n_pos == n:
+        return n_sb / n
+    n_both = int(np.count_nonzero(sb & (gt == 1.0)))
+    # cells (gt, sb) = (0, 0), (0, 1), (1, 0), (1, 1)
+    counts = np.array([n - n_pos - n_sb + n_both, n_sb - n_both, n_pos - n_both, n_both])
+    d_gt = np.array([0.0, 0.0, 1.0, 1.0]) - n_pos / n
+    d_sb = np.array([0.0, 1.0, 0.0, 1.0]) - n_sb / n
+    xi = 2.0 * d_gt * d_sb / (np.square(d_gt) + np.square(d_sb) + eps)
+    phi = np.square(xi + 1.0) / 4.0
+    return float(np.sort(counts * phi).sum()) / n
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -242,14 +265,17 @@ class MetricReport:
 
 
 def evaluate_pair(s: np.ndarray, gt: np.ndarray, sample_id: str = "") -> ImageMetrics:
+    """Every metric of one pair, from a single check of its inputs."""
+    s, gt = _check_pair(s, gt)
+    n_pos = int(np.count_nonzero(gt))
     row = ImageMetrics(
         id=sample_id,
-        mae=mae(s, gt),
-        s_m=s_measure(s, gt),
-        e_m=e_measure(s, gt),
+        mae=_mae(s, gt),
+        s_m=_s_measure(s, gt, n_pos),
+        e_m=_e_measure(s, gt, n_pos),
     )
-    if np.asarray(gt).sum() > 0:
-        row.pr = pr_curve(s, gt)
+    if n_pos > 0:
+        row.pr = _pr_curve(s, gt, n_pos)
         row.f_beta_max = _f_max(row.pr)
     return row
 

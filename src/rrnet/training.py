@@ -24,6 +24,18 @@ class TrainSettings:
     augment: bool = True
     log_every: int = 100
 
+    def __post_init__(self):
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be at least 0, got {self.iterations}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.log_every < 1:
+            raise ValueError(f"log_every must be at least 1, got {self.log_every}")
+        for name in ("lr_initial", "lr_final"):
+            lr = getattr(self, name)
+            if not (np.isfinite(lr) and lr >= 0.0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {lr}")
+
 
 @dataclass
 class TrainResult:

@@ -155,6 +155,33 @@ class TestTrain:
         assert code == EXIT_OK
         assert [ln for ln in out.splitlines() if "\t" in ln] == []
 
+    @pytest.mark.parametrize("text", ["batch_size=0\n", "lr_initial=nan\n", "lr_final=-1\n"])
+    def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys, text):
+        code, _, err = train_with_config(tmp_path, capsys, text)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"usage error: {text.split('=')[0]} must be") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ck").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--iters", "-5"], ["--batch", "0"], ["--lr", "-1"], ["--lr", "nan"], ["--final-lr", "inf"]]
+    )
+    def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
+        code, _, err = run(
+            capsys, "train", "--synthetic", "1", "--iters", "1", "--out", str(tmp_path / "m.ck"),
+            *TINY_NET, *flags,
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ck").exists()
+
+    def test_bad_stage_channels_names_the_flag(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "train", "--synthetic", "1", "--iters", "0", "--out", str(tmp_path / "m.ck"),
+            "--stage-channels", "2,a,3,3,3",
+        )
+        assert code == EXIT_USAGE
+        assert "--stage-channels" in err and "2,a,3,3,3" in err and len(err.splitlines()) == 1
+
     def test_manifest_pair_size_mismatch_is_data_error(self, tmp_path, capsys):
         run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", "1", "--seed", "0", "--size", "64")
         mask = next((tmp_path / "d" / "masks").glob("*.pgm"))

@@ -9,6 +9,7 @@ import pytest
 from rrnet.metrics import (
     THRESHOLDS,
     e_measure,
+    evaluate_pair,
     evaluate_pairs,
     f_measure,
     mae,
@@ -47,6 +48,15 @@ def oracle_pr_point(s, gt, t):
     precision = tp / (tp + fp) if (tp + fp) else 1.0
     recall = tp / (tp + fn)
     return precision, recall
+
+
+def searchsorted_pr_curve(s, gt):
+    """P-R curve from a binary search of every pixel in THRESHOLDS."""
+    k_max = np.searchsorted(THRESHOLDS, s.ravel(), side="right") - 1
+    pred_at = np.cumsum(np.bincount(k_max, minlength=256)[::-1])[::-1]
+    tp_at = np.cumsum(np.bincount(k_max[gt.ravel() == 1.0], minlength=256)[::-1])[::-1]
+    precision = np.where(pred_at > 0, tp_at / np.maximum(pred_at, 1), 1.0)
+    return np.stack([precision, tp_at / gt.sum()], axis=1)
 
 
 def oracle_s_measure(pred, gt, alpha=0.5):
@@ -181,6 +191,20 @@ class TestPrCurve:
             assert curve[k, 0] == pytest.approx(p, abs=1e-12)
             assert curve[k, 1] == pytest.approx(r, abs=1e-12)
 
+    def test_binning_matches_searchsorted_at_threshold_edges(self, rng):
+        # binning is monotone in s, so agreeing at every threshold and at the
+        # float just below it means agreeing on every s in [0, 1]
+        on = np.arange(256) / 255.0
+        float32_on = (np.arange(256) / np.float32(255)).astype(np.float32)
+        edges = np.concatenate([on, np.nextafter(on, 2.0), np.nextafter(on, -1.0), float32_on, [0.0, 1.0]])
+        s = edges[(edges >= 0.0) & (edges <= 1.0)].astype(np.float64)[:, None]
+        # an all-foreground mask makes recall the exact cumulative histogram
+        ones = np.ones_like(s)
+        assert np.array_equal(pr_curve(s, ones), searchsorted_pr_curve(s, ones))
+        gt = (rng.uniform(size=s.shape) < 0.5).astype(np.float64)
+        gt[0] = 1.0
+        assert np.array_equal(pr_curve(s, gt), searchsorted_pr_curve(s, gt))
+
     def test_recall_non_increasing(self, rng):
         s, gt = random_pair(rng, 16, 16)
         curve = pr_curve(s, gt)
@@ -261,6 +285,17 @@ class TestEMeasure:
             s, gt = random_pair(rng, 8, 8)
             assert e_measure(s, gt) == pytest.approx(oracle_e_measure(s, gt), abs=1e-10)
 
+    def test_counts_match_per_pixel_formula(self, rng):
+        cases = [random_pair(rng, 8, 8) for _ in range(10)]
+        _, gt = random_pair(rng, 8, 8)
+        s = rng.uniform(size=(8, 8))
+        cases += [(s, np.zeros((8, 8))), (s, np.ones((8, 8)))]
+        # a constant map of 0 or 1 binarizes to all positive, one of 0.3 to all negative
+        masks = (gt, np.zeros((8, 8)), np.ones((8, 8)))
+        cases += [(np.full((8, 8), c), g) for c in (0.0, 1.0, 0.3) for g in masks]
+        for s, gt in cases:
+            assert e_measure(s, gt) == pytest.approx(oracle_e_measure(s, gt), abs=1e-12)
+
     def test_degenerate_cases(self, rng):
         s = rng.uniform(size=(6, 6))
         sb = (s >= min(2 * s.mean(), 1.0)).astype(np.float64)
@@ -305,11 +340,56 @@ class TestBoundsAndInvariance:
                 )
                 assert got == base
 
+    def test_evaluate_pair_exact_dihedral_invariance(self, rng):
+        pairs = [random_pair(rng, 16, 16) for _ in range(12)]
+        pairs.append((rng.uniform(size=(16, 16)), np.zeros((16, 16))))
+        trials = 0
+        for s, gt in pairs:
+            rows, cols = np.nonzero(gt)
+            # same skip as above: an integer centroid coordinate has a tie row
+            if rows.size and (rows.sum() % rows.size == 0 or cols.sum() % rows.size == 0):
+                continue
+            trials += 1
+            base = evaluate_pair(s, gt)
+            for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
+                row = evaluate_pair(np.ascontiguousarray(sv), np.ascontiguousarray(gv))
+                got = (row.mae, row.s_m, row.e_m, row.f_beta_max)
+                assert got == (base.mae, base.s_m, base.e_m, base.f_beta_max)
+                assert (row.pr is None and base.pr is None) or np.array_equal(row.pr, base.pr)
+        assert trials >= 8
+
     def test_pr_curve_exact_dihedral_invariance(self, rng):
         s, gt = random_pair(rng, 16, 16)
         base = pr_curve(s, gt)
         for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
             assert np.array_equal(pr_curve(np.ascontiguousarray(sv), np.ascontiguousarray(gv)), base)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("metric", [mae, pr_curve, f_measure, s_measure, e_measure, evaluate_pair])
+    def test_nan_map_rejected(self, metric):
+        gt = np.zeros((4, 4))
+        gt[1, 1] = 1.0
+        one_nan = np.full((4, 4), 0.5)
+        one_nan[2, 3] = np.nan
+        for s in (one_nan, np.full((4, 4), np.nan)):
+            with pytest.raises(ValueError, match="NaN") as info:
+                metric(s, gt)
+            assert "\n" not in str(info.value)
+
+    def test_evaluate_pair_rejects_bad_inputs(self):
+        gt = np.zeros((4, 4))
+        gt[1, 1] = 1.0
+        s = np.full((4, 4), 0.5)
+        with pytest.raises(ValueError, match="binary"):
+            evaluate_pair(s, np.where(gt > 0, 0.5, 0.0))
+        for bad in (-0.1, 1.1, np.inf):
+            s_bad = s.copy()
+            s_bad[0, 2] = bad
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                evaluate_pair(s_bad, gt)
+        with pytest.raises(ValueError, match="shape"):
+            evaluate_pair(s, gt[:3])
 
 
 class TestAggregation:

@@ -79,3 +79,25 @@ class TestTrainModel:
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError, match="no training samples"):
             train_model([], TINY, TrainSettings(iterations=1))
+
+
+class TestTrainSettings:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"iterations": -1},
+            {"batch_size": 0},
+            {"log_every": 0},
+            {"lr_initial": float("nan")},
+            {"lr_initial": -1.0},
+            {"lr_final": float("inf")},
+            {"lr_final": -1e-9},
+        ],
+    )
+    def test_out_of_range_values_rejected(self, bad):
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
+            TrainSettings(**bad)
+
+    def test_zero_learning_rate_accepted(self):
+        assert TrainSettings(lr_initial=0.0, lr_final=0.0).lr_initial == 0.0
