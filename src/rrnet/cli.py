@@ -249,15 +249,17 @@ def _cmd_eval(args) -> int:
         threads = int(raw_threads)
     except ValueError:
         raise _UsageError(f"RRNET_THREADS must be an integer, got '{raw_threads}'") from None
-    pairs = []
-    for k in sorted(preds):
-        s, gt = dataio.read_pgm(preds[k]), dataio.read_mask(gts[k])
-        if s.shape != gt.shape:
-            raise DataFormatError(
-                f"sample '{k}': prediction {s.shape} and mask {gt.shape} differ in shape"
-            )
-        pairs.append((s, gt, k))
-    report = evaluate_pairs(pairs, threads=max(threads, 1))
+
+    def pairs():  # read and checked one at a time, as evaluate_pairs draws them
+        for k in sorted(preds):
+            s, gt = dataio.read_pgm(preds[k]), dataio.read_mask(gts[k])
+            if s.shape != gt.shape:
+                raise DataFormatError(
+                    f"sample '{k}': prediction {s.shape} and mask {gt.shape} differ in shape"
+                )
+            yield s, gt, k
+
+    report = evaluate_pairs(pairs(), threads=max(threads, 1))
     for sample_id in report.skipped_fpr:
         print(f"warning: '{sample_id}' has no foreground; excluded from F/PR", file=sys.stderr)
     Path(args.report).write_text(report_to_json(report))

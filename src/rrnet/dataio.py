@@ -452,7 +452,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
-    """Load a checkpoint into an ordered name -> float32 array mapping."""
+    """Load a checkpoint into an ordered name -> float32 array mapping of finite values."""
     r = _Reader(Path(path).read_bytes(), path)
     magic = r.take(len(CHECKPOINT_MAGIC), "magic")
     if magic != CHECKPOINT_MAGIC:
@@ -486,7 +486,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
         crc = r.u32("checksum")
         if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
             raise CheckpointError(f"checksum mismatch for entry '{name}' in {path}")
-        entries[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"entry '{name}' in {path} holds NaN or infinite values")
+        entries[name] = values.copy()
     return entries, cfg
 
 

@@ -1,9 +1,16 @@
 """Saliency evaluation: MAE, P-R curves, F-measure, S-measure, E-measure.
 
-All metrics run in float64 on plain numpy arrays. Reductions over pixels are
-computed in a canonical order (counts where possible, sorted sums otherwise),
-so every metric is exactly invariant under applying the same flip/rotation to
-both the prediction and the ground truth.
+All metrics run in float64 on plain numpy arrays, and each is exactly
+invariant under applying the same flip/rotation to both the prediction and
+the ground truth. Mask-only quantities (pixel counts, the mask's mean and
+variance in a block, the S-measure centroid) come from exact integer counts.
+Every float reduction over pixels runs over sorted halves: a region's map
+values on its foreground and on its background, each sorted once. The regions
+are the whole map (MAE, the map mean behind the E-measure threshold, the
+object score's means and variances) and each S-measure block (its mx, sigma_x
+and sigma_xy). A flip or rotation maps each region to one holding the same
+multiset of (value, label) pairs, so the sorted halves, and every sum over
+them, are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,35 +38,37 @@ THRESHOLDS = np.arange(256, dtype=np.float64) / 255.0
 _EPS = float(np.spacing(1.0))  # matches the eps the reference formulas use
 
 
-def _csum(values: np.ndarray) -> float:
-    """Sum in sorted order: independent of element layout."""
-    return float(np.sort(values.ravel()).sum())
-
-
-def _cmean(values: np.ndarray) -> float:
-    return _csum(values) / values.size
-
-
 def _check_pair(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The map as float64 and the foreground of the mask, once both are checked."""
     s = np.asarray(s, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
+    gt = np.asarray(gt)
     if s.shape != gt.shape:
         raise ValueError(f"prediction {s.shape} and ground truth {gt.shape} differ in shape")
     lo, hi = s.min(), s.max()
     if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
         raise ValueError(f"saliency values must lie in [0, 1] and not be NaN, got range [{lo}, {hi}]")
-    if ((gt != 0.0) & (gt != 1.0)).any():
+    fg = gt == 1.0
+    if not (fg | (gt == 0.0)).all():
         raise ValueError(f"ground truth must be binary 0/1, found values {np.unique(gt)[:8]}")
-    return s, gt
+    return s, fg
+
+
+def _halves(s: np.ndarray, fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A region's map values on its foreground and on its background, each sorted."""
+    return np.sort(s[fg]), np.sort(s[~fg])
+
+
+def _mean(fg_vals: np.ndarray, bg_vals: np.ndarray) -> float:
+    return float(fg_vals.sum() + bg_vals.sum()) / (fg_vals.size + bg_vals.size)
 
 
 def mae(s: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute per-pixel difference."""
-    return _mae(*_check_pair(s, gt))
+    return _mae(*_halves(*_check_pair(s, gt)))
 
 
-def _mae(s: np.ndarray, gt: np.ndarray) -> float:
-    return _cmean(np.abs(s - gt))
+def _mae(fg_vals: np.ndarray, bg_vals: np.ndarray) -> float:
+    return _mean(1.0 - fg_vals, bg_vals)
 
 
 def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -68,21 +77,21 @@ def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
     A pixel counts as predicted positive at threshold t when s >= t. An empty
     prediction has no false positives, so its precision is defined as 1.
     """
-    s, gt = _check_pair(s, gt)
-    n_pos = int(np.count_nonzero(gt))
+    s, fg = _check_pair(s, gt)
+    n_pos = int(np.count_nonzero(fg))
     if n_pos == 0:
         raise ValueError("ground truth has no positive pixels; P-R curve is undefined")
-    return _pr_curve(s, gt, n_pos)
+    return _pr_curve(s, fg, n_pos)
 
 
-def _pr_curve(s: np.ndarray, gt: np.ndarray, n_pos: int) -> np.ndarray:
+def _pr_curve(s: np.ndarray, fg: np.ndarray, n_pos: int) -> np.ndarray:
     # highest threshold index each pixel still clears, which is floor(255 s)
     # exactly: the rounded product is monotone in s, and at every threshold
     # THRESHOLDS[k] and the float just below it fall on either side of k
     # (checked for all 256 in the tests), so no s in [0, 1] lands in a wrong bin
     k = (s.ravel() * 255.0).astype(np.intp)
     # one histogram of (threshold index, is positive): negatives in 0..255, positives in 256..511
-    hist = np.bincount(k + 256 * (gt.ravel() == 1.0), minlength=512)
+    hist = np.bincount(k + 256 * fg.ravel(), minlength=512)
     hist_pos = hist[256:]
     hist_all = hist[:256] + hist_pos
     pred_at = np.cumsum(hist_all[::-1])[::-1]  # pixels predicted positive per threshold
@@ -112,24 +121,26 @@ def _f_max(curve: np.ndarray, beta_sq: float = 0.3) -> float:
 def _object_score(values: np.ndarray) -> float:
     if values.size == 0:
         return 0.0
-    x = _cmean(values)
+    x = float(values.sum()) / values.size
     if values.size > 1:
-        var = _csum(np.square(values - x)) / (values.size - 1)
-        sigma = float(np.sqrt(max(var, 0.0)))
+        sigma = float(np.sqrt(np.square(values - x).sum() / (values.size - 1)))
     else:
         sigma = 0.0
     return 2.0 * x / (x * x + 1.0 + sigma + _EPS)
 
 
-def _ssim_block(x: np.ndarray, y: np.ndarray) -> float:
-    n = x.size
+def _ssim_block(x_fg: np.ndarray, x_bg: np.ndarray) -> float:
+    """SSIM of one block from its sorted map values on foreground and on
+    background; the mask's mean and variance follow from the two counts."""
+    k, n = x_fg.size, x_fg.size + x_bg.size
     if n == 0:
         return 1.0
-    mx, my = _cmean(x), _cmean(y)
+    mx, my = _mean(x_fg, x_bg), k / n
     if n > 1:
-        sx = _csum(np.square(x - mx)) / (n - 1)
-        sy = _csum(np.square(y - my)) / (n - 1)
-        sxy = _csum((x - mx) * (y - my)) / (n - 1)
+        d_fg, d_bg = x_fg - mx, x_bg - mx
+        sx = float(np.square(d_fg).sum() + np.square(d_bg).sum()) / (n - 1)
+        sy = k * (n - k) / (n * (n - 1))
+        sxy = float((1.0 - my) * d_fg.sum() - my * d_bg.sum()) / (n - 1)
     else:
         sx = sy = sxy = 0.0
     alpha = 4.0 * mx * my * sxy
@@ -141,53 +152,61 @@ def _ssim_block(x: np.ndarray, y: np.ndarray) -> float:
     return 0.0
 
 
-def _centroid_splits(gt: np.ndarray) -> tuple[int, int]:
-    """Row/column split indices from the exact foreground center of mass.
+def _axis_splits(counts: np.ndarray, n_pos: int) -> tuple[int, ...]:
+    """Where to split one axis at the foreground centroid, from the exact
+    foreground count of each row (or column).
 
-    A pixel row i belongs to the top block when its center lies strictly
-    above the centroid (compared exactly on integers).
+    Row i lies above the centroid when its center does: i + 0.5 < total / n_pos
+    + 0.5, with total = sum of i * counts[i], that is i * n_pos < total on
+    integers. A row whose center is exactly the centroid joins the side with
+    fewer other rows, which a reflection maps to the mirrored side; when both
+    sides are equal, both splits are returned.
     """
-    row_counts = np.count_nonzero(gt, axis=1)
-    n = int(row_counts.sum())
-    if n == 0:
-        return gt.shape[0] // 2, gt.shape[1] // 2
-    sum_r = int(np.arange(gt.shape[0]) @ row_counts)
-    sum_c = int(np.arange(gt.shape[1]) @ np.count_nonzero(gt, axis=0))
-    # count of rows i with (i + 0.5) < (sum_r / n + 0.5)  <=>  i * n < sum_r
-    split_r = int(np.searchsorted(np.arange(gt.shape[0]) * n, sum_r, side="left"))
-    split_c = int(np.searchsorted(np.arange(gt.shape[1]) * n, sum_c, side="left"))
-    return max(split_r, 1), max(split_c, 1)
+    total = int(np.arange(counts.size) @ counts)
+    above = -(-total // n_pos)  # rows with i * n_pos < total
+    if total % n_pos:
+        return (above,)
+    below = counts.size - above - 1  # row `above` is centered on the centroid
+    if above < below:
+        return (above + 1,)
+    if above > below:
+        return (above,)
+    return (above, above + 1)
 
 
-def _region_score(s: np.ndarray, gt: np.ndarray) -> float:
-    h, w = gt.shape
-    sr, sc = _centroid_splits(gt)
-    total = h * w
-    blocks = []
-    for rs, re in ((0, sr), (sr, h)):
-        for cs, ce in ((0, sc), (sc, w)):
-            weight = (re - rs) * (ce - cs) / total
-            q = _ssim_block(s[rs:re, cs:ce], gt[rs:re, cs:ce])
-            blocks.append(weight * q)
-    # quadrants get relabeled under flips; summing sorted keeps the result exact
-    return float(np.sort(np.asarray(blocks)).sum())
+def _region_score(s: np.ndarray, fg: np.ndarray, n_pos: int) -> float:
+    h, w = fg.shape
+    scores = []
+    for sr in _axis_splits(np.count_nonzero(fg, axis=1), n_pos):
+        for sc in _axis_splits(np.count_nonzero(fg, axis=0), n_pos):
+            blocks = []
+            for rs, re in ((0, sr), (sr, h)):
+                for cs, ce in ((0, sc), (sc, w)):
+                    weight = (re - rs) * (ce - cs) / (h * w)
+                    blocks.append(weight * _ssim_block(*_halves(s[rs:re, cs:ce], fg[rs:re, cs:ce])))
+            # quadrants get relabeled under flips; summing sorted keeps the result exact
+            scores.append(float(np.sort(blocks).sum()))
+    # the same holds for the two splits of a centroid on a middle row or column
+    return float(np.sort(scores).sum()) / len(scores)
 
 
 def s_measure(s: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
     """Structure measure: alpha * object similarity + (1 - alpha) * region similarity."""
-    s, gt = _check_pair(s, gt)
-    return _s_measure(s, gt, int(np.count_nonzero(gt)), alpha)
+    s, fg = _check_pair(s, gt)
+    return _s_measure(s, fg, *_halves(s, fg), alpha)
 
 
-def _s_measure(s: np.ndarray, gt: np.ndarray, n_pos: int, alpha: float = 0.5) -> float:
+def _s_measure(
+    s: np.ndarray, fg: np.ndarray, fg_vals: np.ndarray, bg_vals: np.ndarray, alpha: float = 0.5
+) -> float:
+    n_pos = fg_vals.size
     if n_pos == 0:
-        return 1.0 - _cmean(s)
-    if n_pos == gt.size:
-        return _cmean(s)
-    mu = n_pos / gt.size
-    fg = gt == 1.0
-    s_object = mu * _object_score(s[fg]) + (1.0 - mu) * _object_score(1.0 - s[~fg])
-    s_region = _region_score(s, gt)
+        return 1.0 - _mean(fg_vals, bg_vals)
+    if n_pos == fg.size:
+        return _mean(fg_vals, bg_vals)
+    mu = n_pos / fg.size
+    s_object = mu * _object_score(fg_vals) + (1.0 - mu) * _object_score(1.0 - bg_vals)
+    s_region = _region_score(s, fg, n_pos)
     return max(alpha * s_object + (1.0 - alpha) * s_region, 0.0)
 
 
@@ -196,22 +215,21 @@ def _s_measure(s: np.ndarray, gt: np.ndarray, n_pos: int, alpha: float = 0.5) ->
 
 def e_measure(s: np.ndarray, gt: np.ndarray, eps: float = 1e-8) -> float:
     """Enhanced-alignment measure on the adaptively binarized prediction."""
-    s, gt = _check_pair(s, gt)
-    return _e_measure(s, gt, int(np.count_nonzero(gt)), eps)
+    return _e_measure(*_halves(*_check_pair(s, gt)), eps)
 
 
-def _e_measure(s: np.ndarray, gt: np.ndarray, n_pos: int, eps: float = 1e-8) -> float:
+def _e_measure(fg_vals: np.ndarray, bg_vals: np.ndarray, eps: float = 1e-8) -> float:
     # phi depends only on a pixel's (mask, binarized map) cell, so the mean
-    # over pixels is a count-weighted sum over the at most 4 cells
-    tau = min(2.0 * _cmean(s), 1.0)
-    sb = s >= tau
-    n = gt.size
-    n_sb = int(np.count_nonzero(sb))
+    # over pixels is a count-weighted sum over the at most 4 cells; a binary
+    # search of each sorted half counts the pixels at or above tau
+    tau = min(2.0 * _mean(fg_vals, bg_vals), 1.0)
+    n_pos, n = fg_vals.size, fg_vals.size + bg_vals.size
+    n_both = n_pos - int(np.searchsorted(fg_vals, tau))
+    n_sb = n_both + bg_vals.size - int(np.searchsorted(bg_vals, tau))
     if n_pos == 0:
         return (n - n_sb) / n
     if n_pos == n:
         return n_sb / n
-    n_both = int(np.count_nonzero(sb & (gt == 1.0)))
     # cells (gt, sb) = (0, 0), (0, 1), (1, 0), (1, 1)
     counts = np.array([n - n_pos - n_sb + n_both, n_sb - n_both, n_pos - n_both, n_both])
     d_gt = np.array([0.0, 0.0, 1.0, 1.0]) - n_pos / n
@@ -266,31 +284,34 @@ class MetricReport:
 
 def evaluate_pair(s: np.ndarray, gt: np.ndarray, sample_id: str = "") -> ImageMetrics:
     """Every metric of one pair, from a single check of its inputs."""
-    s, gt = _check_pair(s, gt)
-    n_pos = int(np.count_nonzero(gt))
+    s, fg = _check_pair(s, gt)
+    fg_vals, bg_vals = _halves(s, fg)
     row = ImageMetrics(
         id=sample_id,
-        mae=_mae(s, gt),
-        s_m=_s_measure(s, gt, n_pos),
-        e_m=_e_measure(s, gt, n_pos),
+        mae=_mae(fg_vals, bg_vals),
+        s_m=_s_measure(s, fg, fg_vals, bg_vals),
+        e_m=_e_measure(fg_vals, bg_vals),
     )
-    if n_pos > 0:
-        row.pr = _pr_curve(s, gt, n_pos)
+    if fg_vals.size > 0:
+        row.pr = _pr_curve(s, fg, fg_vals.size)
         row.f_beta_max = _f_max(row.pr)
     return row
 
 
 def evaluate_pairs(pairs, threads: int = 1) -> MetricReport:
-    """Evaluate (s, gt, id) triples; all-background GT is skipped for F/PR."""
-    pairs = list(pairs)
+    """Evaluate (s, gt, id) triples; all-background GT is skipped for F/PR.
+
+    With one thread each pair is scored as it is drawn from the iterable, so
+    a generator of pairs holds one pair in memory at a time.
+    """
     report = MetricReport()
-    if threads > 1 and len(pairs) > 1:
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(lambda t: evaluate_pair(*t), pairs))
     else:
-        rows = [evaluate_pair(*t) for t in pairs]
+        rows = (evaluate_pair(*t) for t in pairs)
     for row in rows:
         report.per_image.append(row)
         if row.f_beta_max is None:

@@ -268,6 +268,20 @@ class TestInfer:
         assert err.startswith("data error:") and "'decoder_width'" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name,value", [("head.c2.b", np.nan), ("backbone.s1.c0.w", -np.inf)])
+    def test_non_finite_checkpoint_entry_is_data_error(self, trained, capsys, name, value):
+        tmp_path, ck = trained
+        entries, cfg = load_checkpoint(ck)
+        entries[name].flat[0] = value
+        save_checkpoint(list(entries.items()), cfg, ck)  # with a valid checksum
+        img = next((tmp_path / "d" / "images").glob("*.ppm"))
+        out = tmp_path / "sal.pgm"
+        code, _, err = run(capsys, "infer", "--checkpoint", str(ck), "--input", str(img), "--output", str(out))
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and f"'{name}'" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_corrupt_image_is_data_error(self, trained, capsys):
         tmp_path, ck = trained
         bad = tmp_path / "bad.ppm"
@@ -369,6 +383,45 @@ class TestEval:
         assert code == EXIT_DATA
         assert "odd" in err and "differ in shape" in err
         assert len(err.splitlines()) == 1
+
+    def test_later_shape_mismatch_writes_no_report(self, tmp_path, capsys, rng):
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
+        self._write_pair(pred_d, gt_d, "a", gt, gt)
+        write_pgm(pred_d / "b.pgm", rng.uniform(size=(8, 8)))
+        write_pgm(gt_d / "b.pgm", np.zeros((8, 9)))
+        report, curve = tmp_path / "r.json", tmp_path / "c.csv"
+        code, _, err = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
+            "--report", str(report), "--prcurve", str(curve),
+        )
+        assert code == EXIT_DATA and "'b'" in err
+        assert not report.exists() and not curve.exists()
+
+    def test_pairs_are_read_and_scored_one_at_a_time(self, tmp_path, capsys, rng, monkeypatch):
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        for i in range(3):
+            gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
+            self._write_pair(pred_d, gt_d, f"s{i}", rng.uniform(size=(8, 8)), gt)
+        events = []
+        read_pgm_, evaluate_pair_ = rrnet.dataio.read_pgm, rrnet.metrics.evaluate_pair
+
+        def logged(tag, fn):
+            def call(*args):
+                events.append(tag)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(rrnet.dataio, "read_pgm", logged("read", read_pgm_))
+        monkeypatch.setattr(rrnet.metrics, "evaluate_pair", logged("score", evaluate_pair_))
+        code, _, _ = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
+            "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_OK
+        assert events == ["read", "score"] * 3
 
     def test_all_background_gt_warned_and_excluded(self, tmp_path, capsys, rng):
         pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"

@@ -59,6 +59,23 @@ def searchsorted_pr_curve(s, gt):
     return np.stack([precision, tp_at / gt.sum()], axis=1)
 
 
+def oracle_splits(gt):
+    """Row splits at the foreground centroid: rows whose center lies above it
+    form the top block; a row centered exactly on it joins the side with fewer
+    other rows, and both splits count when the sides are equal."""
+    rows, _ = np.nonzero(gt)
+    cnt, total = rows.size, int(rows.sum())
+    above = sum(1 for i in range(gt.shape[0]) if i * cnt < total)
+    if not any(i * cnt == total for i in range(gt.shape[0])):
+        return [above]
+    below = gt.shape[0] - above - 1
+    if above < below:
+        return [above + 1]
+    if above > below:
+        return [above]
+    return [above, above + 1]
+
+
 def oracle_s_measure(pred, gt, alpha=0.5):
     h, w = gt.shape
     n = h * w
@@ -74,14 +91,11 @@ def oracle_s_measure(pred, gt, alpha=0.5):
         return 2.0 * x / (x * x + 1.0 + sigma + EPS)
 
     s_o = y * obj(pred[gt == 1]) + (1 - y) * obj(1.0 - pred[gt == 0])
-    rows, cols = np.nonzero(gt)
-    cnt = rows.size
-    sr = sum(1 for i in range(h) if i * cnt < rows.sum())
-    sc = sum(1 for j in range(w) if j * cnt < cols.sum())
-    sr, sc = max(sr, 1), max(sc, 1)
 
     def ssim(x, y_):
         m = x.size
+        if m == 0:  # a zero-weight block, from a split at the image edge
+            return 1.0
         mx, my = float(np.mean(x)), float(np.mean(y_))
         if m > 1:
             sx = float(np.sum((x - mx) ** 2) / (m - 1))
@@ -96,10 +110,14 @@ def oracle_s_measure(pred, gt, alpha=0.5):
         return 1.0 if b == 0 else 0.0
 
     s_r = 0.0
-    for rs, re in ((0, sr), (sr, h)):
-        for cs, ce in ((0, sc), (sc, w)):
-            weight = (re - rs) * (ce - cs) / n
-            s_r += weight * ssim(pred[rs:re, cs:ce], gt[rs:re, cs:ce])
+    row_splits, col_splits = oracle_splits(gt), oracle_splits(gt.T)
+    for sr in row_splits:
+        for sc in col_splits:
+            for rs, re in ((0, sr), (sr, h)):
+                for cs, ce in ((0, sc), (sc, w)):
+                    weight = (re - rs) * (ce - cs) / n
+                    s_r += weight * ssim(pred[rs:re, cs:ce], gt[rs:re, cs:ce])
+    s_r /= len(row_splits) * len(col_splits)
     return max(alpha * s_o + (1 - alpha) * s_r, 0.0)
 
 
@@ -119,6 +137,120 @@ def oracle_e_measure(pred, gt, eps=1e-8):
             xi = 2 * dg[i, j] * ds[i, j] / (dg[i, j] ** 2 + ds[i, j] ** 2 + eps)
             total += (xi + 1.0) ** 2 / 4.0
     return total / n
+
+
+# -- sorted-sum kernels, each reduction sorted on its own: the sorted-halves oracle --
+
+
+def csum(values):
+    return float(np.sort(values.ravel()).sum())
+
+
+def cmean(values):
+    return csum(values) / values.size
+
+
+def sorted_sum_object_score(values):
+    if values.size == 0:
+        return 0.0
+    x = cmean(values)
+    sigma = float(np.sqrt(csum(np.square(values - x)) / (values.size - 1))) if values.size > 1 else 0.0
+    return 2.0 * x / (x * x + 1.0 + sigma + EPS)
+
+
+def sorted_sum_ssim(x, y):
+    n = x.size
+    if n == 0:
+        return 1.0
+    mx, my = cmean(x), cmean(y)
+    if n > 1:
+        sx = csum(np.square(x - mx)) / (n - 1)
+        sy = csum(np.square(y - my)) / (n - 1)
+        sxy = csum((x - mx) * (y - my)) / (n - 1)
+    else:
+        sx = sy = sxy = 0.0
+    alpha = 4.0 * mx * my * sxy
+    beta = (mx * mx + my * my) * (sx + sy)
+    if alpha != 0.0:
+        return alpha / (beta + EPS)
+    return 1.0 if beta == 0.0 else 0.0
+
+
+def sorted_sum_metrics(s, gt):
+    """(mae, s_m, e_m, f_beta_max) with every pixel reduction a sum in sorted order."""
+    s = np.asarray(s, dtype=np.float64)
+    h, w = gt.shape
+    n, n_pos = gt.size, int(gt.sum())
+    mae_ = cmean(np.abs(s - gt))
+    if n_pos == 0:
+        s_m = 1.0 - cmean(s)
+    elif n_pos == n:
+        s_m = cmean(s)
+    else:
+        mu = n_pos / n
+        s_o = mu * sorted_sum_object_score(s[gt == 1]) + (1 - mu) * sorted_sum_object_score(1.0 - s[gt == 0])
+        scores = []
+        for sr in oracle_splits(gt):
+            for sc in oracle_splits(gt.T):
+                blocks = []
+                for rs, re in ((0, sr), (sr, h)):
+                    for cs, ce in ((0, sc), (sc, w)):
+                        weight = (re - rs) * (ce - cs) / n
+                        blocks.append(weight * sorted_sum_ssim(s[rs:re, cs:ce], gt[rs:re, cs:ce]))
+                scores.append(csum(np.array(blocks)))
+        s_r = csum(np.array(scores)) / len(scores)
+        s_m = max(0.5 * s_o + 0.5 * s_r, 0.0)
+    tau = min(2.0 * cmean(s), 1.0)
+    sb = (s >= tau).astype(np.float64)
+    if n_pos == 0:
+        e_m = cmean(1.0 - sb)
+    elif n_pos == n:
+        e_m = cmean(sb)
+    else:
+        dg, ds = gt - n_pos / n, sb - sb.sum() / n
+        e_m = cmean(np.square(2.0 * dg * ds / (dg**2 + ds**2 + 1e-8) + 1.0) / 4.0)
+    f = None
+    if n_pos:
+        p, r = searchsorted_pr_curve(s, gt).T
+        f = float(np.max(np.where(0.3 * p + r > 0, 1.3 * p * r / np.maximum(0.3 * p + r, 1e-300), 0.0)))
+    return mae_, s_m, e_m, f
+
+
+def assorted_pairs(rng, count):
+    """Soft, 8-bit, float32 and constant maps on random, all-background and
+    all-foreground masks of 1 to 24 pixels a side."""
+    for i in range(count):
+        h, w = (int(v) for v in rng.integers(1, 25, size=2))
+        gt = (rng.uniform(size=(h, w)) < rng.uniform(0.05, 0.95)).astype(np.float64)
+        kind = i % 6
+        if kind == 1:  # as read_pgm gives it
+            s = (rng.integers(0, 256, size=(h, w)).astype(np.float32) / np.float32(255)).astype(np.float64)
+        elif kind == 2:
+            s = rng.uniform(size=(h, w)).astype(np.float32)
+        elif kind == 3:
+            s = np.full((h, w), float(rng.choice([0.0, 0.3, 0.5, 200 / 255, 1.0])))
+        else:
+            s = rng.uniform(size=(h, w))
+        if i % 9 == 4:
+            gt[:] = 0.0
+        elif i % 9 == 7:
+            gt[:] = 1.0
+        yield s, gt
+
+
+def integer_centroid_masks():
+    """Masks whose foreground centroid lies exactly on a pixel row or column."""
+    a = np.zeros((16, 16))
+    a[2, 3] = a[4, 9] = a[2, 9] = a[4, 3] = 1.0  # centroid (3, 6): nearer the top and left
+    b = np.zeros((15, 15))
+    b[5, 7] = b[9, 7] = b[7, 5] = b[7, 9] = b[6, 6] = b[8, 8] = 1.0  # (7, 7): the middle of both axes
+    c = np.zeros((15, 16))
+    c[6, 2] = c[8, 2] = c[7, 11] = 1.0  # row 7, the middle of an odd axis
+    d = np.zeros((16, 16))
+    d[0, 3] = d[0, 8] = 1.0  # row 0, with no rows above
+    e = np.zeros((1, 9))
+    e[0, 2] = e[0, 6] = 1.0  # a single row, and column 4 in the middle
+    return [a, b, c, d, e]
 
 
 def dihedral_variants(arr):
@@ -268,6 +400,18 @@ class TestSMeasure:
         assert s_measure(s, np.zeros((6, 6))) == pytest.approx(1.0 - s.mean(), abs=1e-12)
         assert s_measure(s, np.ones((6, 6))) == pytest.approx(s.mean(), abs=1e-12)
 
+    def test_integer_centroid_row_joins_the_smaller_side(self, rng):
+        a, b, c, d, e = integer_centroid_masks()
+        assert (oracle_splits(a), oracle_splits(np.flipud(a)), oracle_splits(a.T)) == ([4], [12], [7])
+        assert oracle_splits(b) == oracle_splits(b.T) == oracle_splits(c) == [7, 8]
+        assert (oracle_splits(d), oracle_splits(e), oracle_splits(e.T)) == ([1], [0, 1], [4, 5])
+        for gt in (a, b, c, d, e):
+            s = rng.uniform(size=gt.shape)
+            base = s_measure(s, gt)
+            assert base == pytest.approx(oracle_s_measure(s, gt), abs=1e-10)
+            for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
+                assert s_measure(np.ascontiguousarray(sv), np.ascontiguousarray(gv)) == base
+
 
 class TestEMeasure:
     def test_identity_close_to_one(self, rng):
@@ -313,16 +457,8 @@ class TestBoundsAndInvariance:
                 assert 0.0 <= val <= 1.0
 
     def test_exact_dihedral_invariance(self, rng):
-        trials = 0
-        while trials < 12:
+        for _ in range(12):
             s, gt = random_pair(rng, 16, 16)
-            rows, cols = np.nonzero(gt)
-            n = rows.size
-            # integer centroid coordinates make the region split genuinely
-            # ambiguous (the tie row flips sides under reflection); skip those
-            if rows.sum() % n == 0 or cols.sum() % n == 0:
-                continue
-            trials += 1
             base = (
                 mae(s, gt),
                 f_measure(s, gt),
@@ -343,26 +479,62 @@ class TestBoundsAndInvariance:
     def test_evaluate_pair_exact_dihedral_invariance(self, rng):
         pairs = [random_pair(rng, 16, 16) for _ in range(12)]
         pairs.append((rng.uniform(size=(16, 16)), np.zeros((16, 16))))
-        trials = 0
+        pairs += [(rng.uniform(size=gt.shape), gt) for gt in integer_centroid_masks()]
         for s, gt in pairs:
-            rows, cols = np.nonzero(gt)
-            # same skip as above: an integer centroid coordinate has a tie row
-            if rows.size and (rows.sum() % rows.size == 0 or cols.sum() % rows.size == 0):
-                continue
-            trials += 1
             base = evaluate_pair(s, gt)
             for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
                 row = evaluate_pair(np.ascontiguousarray(sv), np.ascontiguousarray(gv))
                 got = (row.mae, row.s_m, row.e_m, row.f_beta_max)
                 assert got == (base.mae, base.s_m, base.e_m, base.f_beta_max)
                 assert (row.pr is None and base.pr is None) or np.array_equal(row.pr, base.pr)
-        assert trials >= 8
 
     def test_pr_curve_exact_dihedral_invariance(self, rng):
         s, gt = random_pair(rng, 16, 16)
         base = pr_curve(s, gt)
         for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
             assert np.array_equal(pr_curve(np.ascontiguousarray(sv), np.ascontiguousarray(gv)), base)
+
+
+class TestSortedHalves:
+    FIELDS = ("mae", "s_m", "e_m", "f_beta_max")
+
+    def test_shuffling_within_block_and_mask_class_changes_nothing(self, rng):
+        pairs = [random_pair(rng, int(rng.integers(2, 20)), int(rng.integers(2, 20))) for _ in range(30)]
+        pairs += [(rng.uniform(size=gt.shape), gt) for gt in integer_centroid_masks()]
+        pairs.append((rng.uniform(size=(7, 5)), np.zeros((7, 5))))
+        for s, gt in pairs:
+            # cell = (row above / on / below the centroid) x (the same for columns) x mask
+            # class; every S-measure block is a union of such cells
+            rows, cols = np.nonzero(gt)
+            r = np.sign(np.arange(gt.shape[0]) * rows.size - rows.sum()) + 1
+            c = np.sign(np.arange(gt.shape[1]) * rows.size - cols.sum()) + 1
+            cells = ((3 * r[:, None] + c[None, :]) * 2 + gt.astype(int)).ravel()
+            shuffled = s.ravel().copy()
+            for cell in np.unique(cells):
+                idx = np.flatnonzero(cells == cell)
+                shuffled[idx] = shuffled[rng.permutation(idx)]
+            assert not np.array_equal(shuffled, s.ravel())
+            base, got = evaluate_pair(s, gt), evaluate_pair(shuffled.reshape(s.shape), gt)
+            assert [getattr(got, k) for k in self.FIELDS] == [getattr(base, k) for k in self.FIELDS]
+            assert (got.pr is None and base.pr is None) or np.array_equal(got.pr, base.pr)
+
+    def test_public_metrics_equal_evaluate_pair(self, rng):
+        for s, gt in assorted_pairs(rng, 60):
+            row = evaluate_pair(s, gt)
+            assert (mae(s, gt), s_measure(s, gt), e_measure(s, gt)) == (row.mae, row.s_m, row.e_m)
+            if gt.any():
+                assert f_measure(s, gt) == row.f_beta_max
+                assert np.array_equal(pr_curve(s, gt), row.pr)
+
+    def test_matches_sorted_sum_kernels(self, rng):
+        for s, gt in assorted_pairs(rng, 400):
+            row = evaluate_pair(s, gt)
+            want = sorted_sum_metrics(s, gt)
+            for name, got, ref in zip(self.FIELDS, (row.mae, row.s_m, row.e_m, row.f_beta_max), want):
+                if ref is None:
+                    assert got is None, name
+                else:
+                    assert got == pytest.approx(ref, rel=0, abs=1e-14), (name, s.shape)
 
 
 class TestInputChecks:
@@ -377,19 +549,21 @@ class TestInputChecks:
                 metric(s, gt)
             assert "\n" not in str(info.value)
 
-    def test_evaluate_pair_rejects_bad_inputs(self):
+    @pytest.mark.parametrize("metric", [mae, pr_curve, f_measure, s_measure, e_measure, evaluate_pair])
+    def test_bad_inputs_rejected(self, metric):
         gt = np.zeros((4, 4))
         gt[1, 1] = 1.0
         s = np.full((4, 4), 0.5)
-        with pytest.raises(ValueError, match="binary"):
-            evaluate_pair(s, np.where(gt > 0, 0.5, 0.0))
+        for bad_gt in (np.where(gt > 0, 0.5, 0.0), np.where(gt > 0, 2, 0), gt.astype(np.float32) * 3):
+            with pytest.raises(ValueError, match="binary"):
+                metric(s, bad_gt)
         for bad in (-0.1, 1.1, np.inf):
             s_bad = s.copy()
             s_bad[0, 2] = bad
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                evaluate_pair(s_bad, gt)
+                metric(s_bad, gt)
         with pytest.raises(ValueError, match="shape"):
-            evaluate_pair(s, gt[:3])
+            metric(s, gt[:3])
 
 
 class TestAggregation:
