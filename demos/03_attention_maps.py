@@ -2,9 +2,10 @@
 the two-channel pooling descriptor, both branches, and the fused map, saved
 as PGM files you can open with any image viewer.
 
-Run:  python demos/03_attention_maps.py   (writes into demos/out/)
+Run:  python demos/03_attention_maps.py [OUT_DIR]   (default OUT_DIR: demos/out/)
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +14,8 @@ from rrnet.attention import descriptor, fuse_maps, init_pma_params, left_branch,
 from rrnet.dataio import synth_dataset, write_pgm, write_ppm
 from rrnet.tensor import Tensor
 
-out_dir = Path(__file__).parent / "out"
-out_dir.mkdir(exist_ok=True)
+out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
+out_dir.mkdir(parents=True, exist_ok=True)
 
 sample = synth_dataset(1, seed=21, size=64)[0]
 write_ppm(out_dir / "input.ppm", sample.image)

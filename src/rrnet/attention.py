@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .init import as_rng, constant_init, xavier_uniform
-from .tensor import Tensor, channel_avg, channel_max, concat, conv2d, relu, reshape, sigmoid
+from .tensor import Tensor, channel_pool, concat, conv2d, relu, reshape, sigmoid, tensor_sum
 
 __all__ = [
     "SCALES",
     "ConvParams",
     "PmaParams",
     "descriptor",
-    "spatial_attention",
     "left_branch",
     "right_branch",
     "fuse_maps",
@@ -90,40 +89,54 @@ def init_pma_params(
     )
 
 
-def descriptor(x: Tensor) -> Tensor:
-    """Two-channel pooling descriptor: per-pixel channel average and max."""
-    if x.ndim != 3:
-        raise ValueError(f"descriptor needs a rank-3 HxWxC input, got shape {x.shape}")
-    return concat([channel_avg(x), channel_max(x)], axis=2)
+# CBAM's two-channel pooling descriptor: per-pixel channel average and max.
+descriptor = channel_pool
 
 
-def spatial_attention(x: Tensor, conv: ConvParams) -> Tensor:
-    """sigmoid(conv(descriptor(x))), an H x W x 1 map in (0, 1)."""
-    return sigmoid(conv2d(descriptor(x), conv.w, conv.b))
+def _zero_pad(w: Tensor, axis: int, before: int, after: int) -> Tensor:
+    """w between zero blocks of `before` and `after` slices along one axis."""
+
+    def zeros(n):
+        shape = list(w.shape)
+        shape[axis] = n
+        return Tensor(np.zeros(shape, dtype=w.dtype))
+
+    return concat([zeros(before), w, zeros(after)], axis=axis)
 
 
 def left_branch(x: Tensor, p: PmaParams) -> Tensor:
-    """Multi-scale attention on the single-scale descriptor, H x W map."""
-    d = descriptor(x)
-    maps = [sigmoid(conv2d(d, p.left[k].w, p.left[k].b)) for k in sorted(p.left)]
-    avg = (maps[0] + maps[1] + maps[2]) * (1.0 / 3.0)
-    return reshape(avg, x.shape[:2])
+    """Multi-scale attention on the single-scale descriptor, H x W map.
+
+    The per-scale 2 -> 1 kernels, zero-embedded in the largest one, run as
+    one 2 -> 3 conv, built from the parameters in every forward pass.
+    """
+    convs = [p.left[k] for k in sorted(p.left)]
+    size = max(c.w.shape[0] for c in convs)
+    pads = [(size - c.w.shape[0]) // 2 for c in convs]
+    w = concat([_zero_pad(_zero_pad(c.w, 0, q, q), 1, q, q) for c, q in zip(convs, pads)], axis=3)
+    b = concat([c.b for c in convs], axis=0)
+    return tensor_sum(sigmoid(conv2d(descriptor(x), w, b)), axis=2) * (1.0 / 3.0)
 
 
 def right_branch(x: Tensor, p: PmaParams) -> Tensor:
-    """Spatial attention on multi-scale features, averaged into one H x W map."""
+    """Spatial attention on multi-scale features, averaged into one H x W map.
+
+    The per-scale attention convs run as one 6 -> 3 conv over the three
+    stacked descriptors, with a block-diagonal kernel: output j reads only
+    descriptor j.
+    """
     if p.feature_activation == "relu":
         act = relu
     elif p.feature_activation == "sigmoid":
         act = sigmoid
     else:
         raise ValueError(f"unknown feature activation '{p.feature_activation}'")
-    maps = []
-    for k in sorted(p.right):
-        feat = act(conv2d(x, p.right[k].w, p.right[k].b))
-        maps.append(spatial_attention(feat, p.right_att[k]))
-    avg = (maps[0] + maps[1] + maps[2]) * (1.0 / 3.0)
-    return reshape(avg, x.shape[:2])
+    scales = sorted(p.right)
+    d = concat([descriptor(act(conv2d(x, p.right[k].w, p.right[k].b))) for k in scales], axis=2)
+    att = [p.right_att[k] for k in scales]
+    w = concat([_zero_pad(c.w, 2, 2 * j, 2 * (len(att) - 1 - j)) for j, c in enumerate(att)], axis=3)
+    b = concat([c.b for c in att], axis=0)
+    return tensor_sum(sigmoid(conv2d(d, w, b)), axis=2) * (1.0 / 3.0)
 
 
 def fuse_maps(a_l: Tensor, a_r: Tensor, p: PmaParams) -> Tensor:

@@ -146,8 +146,7 @@ def op_cases(rng):
     yield "reshape", lambda: unary(lambda a: T.reshape(a, (15,)), (3, 5))
     yield "sum_axis", lambda: unary(lambda a: T.tensor_sum(a, axis=1), (4, 5))
     yield "upsample2x", lambda: unary(T.upsample2x, (3, 4, 2))
-    yield "channel_avg", lambda: unary(T.channel_avg, (3, 3, 5))
-    yield "channel_max", lambda: unary(T.channel_max, (3, 3, 5))
+    yield "channel_pool", lambda: unary(T.channel_pool, (3, 3, 5))
     yield "global_vertex_avg", lambda: unary(T.global_vertex_avg, (6, 4))
     yield "power", lambda: unary(lambda a: (a * a + 1.0) ** -0.5, (4, 4))
     yield "log_of_clip", lambda: unary(lambda a: T.log(T.clip(T.sigmoid(a), 1e-7, 1 - 1e-7)), (4, 4))

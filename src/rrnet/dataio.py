@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import NetworkConfig
+from .tensor import NumericalError
 
 __all__ = [
     "Sample",
@@ -395,6 +396,8 @@ def save_checkpoint(params, cfg: NetworkConfig, path) -> None:
 
     Each entry carries a CRC32 so payload corruption is detected on load.
     Accepts anything with named_parameters() or an iterable of (name, tensor).
+    An entry with NaN or infinite values raises NumericalError, and nothing
+    is written, since load_checkpoint would refuse the file.
     """
     if hasattr(params, "named_parameters"):
         items = list(params.named_parameters())
@@ -414,6 +417,8 @@ def save_checkpoint(params, cfg: NetworkConfig, path) -> None:
         data = np.ascontiguousarray(
             tensor.data if hasattr(tensor, "data") else tensor, dtype="<f4"
         )
+        if not np.isfinite(data).all():
+            raise NumericalError(f"parameter '{name}' holds NaN or infinite values; {path} not written")
         name_b = name.encode("utf-8")
         out += struct.pack("<H", len(name_b))
         out += name_b

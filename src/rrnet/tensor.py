@@ -36,7 +36,6 @@ __all__ = [
     "transpose",
     "tensor_sum",
     "mean",
-    "amax",
     "relu",
     "sigmoid",
     "log",
@@ -44,8 +43,7 @@ __all__ = [
     "softmax",
     "conv2d",
     "upsample2x",
-    "channel_avg",
-    "channel_max",
+    "channel_pool",
     "global_vertex_avg",
     "take_rows",
 ]
@@ -392,22 +390,6 @@ def mean(a) -> Tensor:
     return mul(tensor_sum(a), 1.0 / a.size)
 
 
-def amax(a, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over one axis; the gradient routes to the first argmax."""
-    a = _wrap(a)
-    idx = np.argmax(a.data, axis=axis)
-
-    def backward(g):
-        if a.requires_grad:
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            grad = np.zeros_like(a.data)
-            np.put_along_axis(grad, np.expand_dims(idx, axis), g, axis)
-            a._accumulate(grad)
-
-    return _from_op(a.data.max(axis=axis, keepdims=keepdims), (a,), backward)
-
-
 # -- activations and friends -----------------------------------------------------
 
 
@@ -592,31 +574,32 @@ def upsample2x(a) -> Tensor:
     return _from_op(data, (a,), backward)
 
 
-def channel_avg(a) -> Tensor:
-    """Per-pixel mean over channels, H x W x C -> H x W x 1.
+def channel_pool(a) -> Tensor:
+    """Per-pixel channel mean and max, H x W x C -> H x W x 2.
 
-    The channel values are summed in sorted order so the result does not
-    depend on how the channels happen to be laid out.
+    One sort over the channel axis gives both: the mean sums the sorted
+    values, so it does not depend on how the channels happen to be laid out,
+    and the max is the last sorted value. The max gradient goes to the first
+    argmax.
     """
     a = _wrap(a)
     if a.ndim != 3:
-        raise ValueError(f"channel_avg needs a rank-3 HxWxC input, got shape {a.shape}")
+        raise ValueError(f"channel_pool needs a rank-3 HxWxC input, got shape {a.shape}")
     c = a.shape[2]
-    data = np.sort(a.data, axis=2).sum(axis=2, keepdims=True) / c
+    srt = np.sort(a.data, axis=2)
+    data = np.empty(a.shape[:2] + (2,), dtype=a.dtype)
+    data[:, :, 0] = srt.sum(axis=2) / c
+    data[:, :, 1] = srt[:, :, -1]
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.broadcast_to(g / c, a.shape))
+            g_mean = g[:, :, :1] / c
+            grad = np.repeat(g_mean, c, axis=2)
+            idx = np.argmax(a.data, axis=2)[:, :, None]
+            np.put_along_axis(grad, idx, g_mean + g[:, :, 1:], axis=2)
+            a._accumulate(grad)
 
-    return _from_op(data.astype(a.dtype), (a,), backward)
-
-
-def channel_max(a) -> Tensor:
-    """Per-pixel max over channels, H x W x C -> H x W x 1."""
-    a = _wrap(a)
-    if a.ndim != 3:
-        raise ValueError(f"channel_max needs a rank-3 HxWxC input, got shape {a.shape}")
-    return amax(a, axis=2, keepdims=True)
+    return _from_op(data, (a,), backward)
 
 
 def global_vertex_avg(a) -> Tensor:

@@ -13,9 +13,8 @@ from rrnet.attention import (
     left_branch,
     pma,
     right_branch,
-    spatial_attention,
 )
-from rrnet.tensor import Tensor, conv2d, relu, sigmoid
+from rrnet.tensor import Tensor, conv2d, relu, reshape, sigmoid, tensor_sum
 
 
 def zero_params(channels, dtype=np.float64):
@@ -31,6 +30,85 @@ def zero_params(channels, dtype=np.float64):
         right_att={k: conv(7, 2, 1) for k in SCALES},
         fuse=conv(1, 2, 1),
     )
+
+
+# The unfolded module, one 2 -> 1 attention conv per scale, kept as the
+# reference for the stacked convs of rrnet.attention.
+
+
+def spatial_attention(x, conv):
+    return sigmoid(conv2d(descriptor(x), conv.w, conv.b))
+
+
+def oracle_left_branch(x, p):
+    d = descriptor(x)
+    maps = [sigmoid(conv2d(d, p.left[k].w, p.left[k].b)) for k in sorted(p.left)]
+    return reshape((maps[0] + maps[1] + maps[2]) * (1.0 / 3.0), x.shape[:2])
+
+
+def oracle_right_branch(x, p):
+    act = {"relu": relu, "sigmoid": sigmoid}[p.feature_activation]
+    maps = []
+    for k in sorted(p.right):
+        feat = act(conv2d(x, p.right[k].w, p.right[k].b))
+        maps.append(spatial_attention(feat, p.right_att[k]))
+    return reshape((maps[0] + maps[1] + maps[2]) * (1.0 / 3.0), x.shape[:2])
+
+
+def oracle_pma(x, p):
+    return fuse_maps(oracle_left_branch(x, p), oracle_right_branch(x, p), p)
+
+
+def shuffled(p):
+    return PmaParams(
+        left={k: p.left[k] for k in (7, 3, 5)},
+        right={k: p.right[k] for k in (5, 7, 3)},
+        right_att={k: p.right_att[k] for k in (7, 5, 3)},
+        fuse=p.fuse,
+        feature_activation=p.feature_activation,
+    )
+
+
+class TestFoldMatchesUnfoldedOracle:
+    """The stacked convs sum the same products as the per-scale ones; only
+    BLAS's rounding of each tap's dot product may differ (a 2 -> 1 tap runs
+    as a matrix-vector product, a 2 -> 3 tap as a matrix product). The maps
+    lie in (0, 1), behind sigmoids of slope <= 1/4, so they agree to a few
+    units of the dtype's epsilon."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("att_kernel", [3, 5, 7])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_outputs(self, rng, dtype, att_kernel, activation):
+        tol = 4 * np.finfo(dtype).eps
+        p = init_pma_params(5, rng, dtype=dtype, att_kernel=att_kernel, feature_activation=activation)
+        x = Tensor(rng.standard_normal((11, 9, 5)).astype(dtype))
+        for params in (p, shuffled(p)):
+            for fold, oracle in (
+                (left_branch, oracle_left_branch),
+                (right_branch, oracle_right_branch),
+                (pma, oracle_pma),
+            ):
+                got, want = fold(x, params).data, oracle(x, p).data
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                assert np.abs(got - want).max() <= tol, fold.__name__
+
+    @pytest.mark.parametrize("att_kernel", [3, 7])
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_parameter_gradients(self, rng, att_kernel, activation):
+        p = init_pma_params(3, rng, dtype=np.float64, att_kernel=att_kernel, feature_activation=activation)
+        x = Tensor(rng.standard_normal((7, 6, 3)), requires_grad=True, dtype=np.float64)
+        leaves = [("x", x)] + list(p.named_parameters())
+        weight = Tensor(rng.standard_normal((7, 6)), dtype=np.float64)
+        grads = []
+        for fn in (pma, oracle_pma):
+            for _, t in leaves:
+                t.zero_grad()
+            tensor_sum(fn(x, p) * weight).backward()
+            grads.append({name: t.grad.copy() for name, t in leaves})
+        for name, _ in leaves:
+            got, want = grads[0][name], grads[1][name]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
 
 
 class TestDescriptor:
@@ -220,14 +298,7 @@ class TestPma:
     def test_scale_dict_order_does_not_matter(self, rng):
         x = Tensor(rng.standard_normal((8, 8, 3)).astype(np.float32))
         p = init_pma_params(3, rng)
-        shuffled = PmaParams(
-            left={k: p.left[k] for k in (7, 3, 5)},
-            right={k: p.right[k] for k in (5, 7, 3)},
-            right_att={k: p.right_att[k] for k in (7, 5, 3)},
-            fuse=p.fuse,
-            feature_activation=p.feature_activation,
-        )
-        assert np.array_equal(pma(x, p).data, pma(x, shuffled).data)
+        assert np.array_equal(pma(x, p).data, pma(x, shuffled(p)).data)
 
     def test_gradients_of_fused_map_pass_fd_check(self, rng):
         from rrnet.checks import gradcheck

@@ -2,15 +2,17 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rrnet
-from rrnet.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from rrnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from rrnet.dataio import load_checkpoint, read_pgm, save_checkpoint, write_pgm
 from rrnet.network import NetworkConfig, init_network_params
 
@@ -36,6 +38,19 @@ def replace_config_blob(ck, blob: bytes) -> None:
     data = ck.read_bytes()
     cfg_len = int.from_bytes(data[12:16], "little")
     ck.write_bytes(data[:12] + len(blob).to_bytes(4, "little") + blob + data[16 + cfg_len :])
+
+
+def poison_entry(ck, name: str, value: float) -> None:
+    """Overwrite the first value of checkpoint entry `name`, with a valid checksum."""
+    data = bytearray(ck.read_bytes())
+    key = struct.pack("<H", len(name)) + name.encode()
+    pos = data.index(key) + len(key)
+    ndim = data[pos]
+    start = pos + 1 + 4 * ndim
+    end = start + 4 * int(np.prod(struct.unpack_from(f"<{ndim}I", data, pos + 1)))
+    struct.pack_into("<f", data, start, value)
+    struct.pack_into("<I", data, end, zlib.crc32(data[start:end]))
+    ck.write_bytes(bytes(data))
 
 
 class TestGenData:
@@ -74,6 +89,24 @@ class TestTrain:
         code2, _, _ = run(capsys, *args, "--out", str(tmp_path / "b.ck"))
         assert code1 == code2 == EXIT_OK
         assert (tmp_path / "a.ck").read_bytes() == (tmp_path / "b.ck").read_bytes()
+
+    def test_non_finite_parameters_exit_numeric_without_a_checkpoint(self, tmp_path, capsys, monkeypatch):
+        real = rrnet.cli.train_model
+
+        def diverging(*args, **kwargs):
+            result = real(*args, **kwargs)
+            result.params.head[2].b.data[:] = np.inf
+            return result
+
+        monkeypatch.setattr(rrnet.cli, "train_model", diverging)
+        ck = tmp_path / "m.ck"
+        code, _, err = run(
+            capsys, "train", "--synthetic", "1", "--iters", "1", "--out", str(ck), *TINY_NET,
+        )
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numerical failure:") and "'head.c2.b'" in err
+        assert len(err.splitlines()) == 1
+        assert not ck.exists()
 
     def test_log_lines_tab_separated(self, tmp_path, capsys):
         code, out, _ = run(
@@ -271,9 +304,7 @@ class TestInfer:
     @pytest.mark.parametrize("name,value", [("head.c2.b", np.nan), ("backbone.s1.c0.w", -np.inf)])
     def test_non_finite_checkpoint_entry_is_data_error(self, trained, capsys, name, value):
         tmp_path, ck = trained
-        entries, cfg = load_checkpoint(ck)
-        entries[name].flat[0] = value
-        save_checkpoint(list(entries.items()), cfg, ck)  # with a valid checksum
+        poison_entry(ck, name, value)
         img = next((tmp_path / "d" / "images").glob("*.ppm"))
         out = tmp_path / "sal.pgm"
         code, _, err = run(capsys, "infer", "--checkpoint", str(ck), "--input", str(img), "--output", str(out))

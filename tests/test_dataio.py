@@ -30,7 +30,7 @@ from rrnet.dataio import (
     write_ppm,
 )
 from rrnet.network import NetworkConfig
-from rrnet.tensor import Tensor
+from rrnet.tensor import NumericalError, Tensor
 
 
 class TestNetpbm:
@@ -324,6 +324,19 @@ class TestCheckpoint:
         t = Tensor(np.ones(2, dtype=np.float32))
         with pytest.raises(CheckpointError, match="duplicate"):
             save_checkpoint([("w", t), ("w", t)], cfg, tmp_path / "x.ck")
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_entry_rejected_on_save_and_nothing_written(self, tmp_path, value):
+        good = Tensor(np.ones(2, dtype=np.float32))
+        bad = Tensor(np.array([0.5, value]), dtype=np.float64)
+        path = tmp_path / "x.ck"
+        path.write_bytes(b"previous")
+        with pytest.raises(NumericalError, match="'head.b'"):
+            save_checkpoint([("w", good), ("head.b", bad)], NetworkConfig(), path)
+        assert path.read_bytes() == b"previous"
+        with pytest.raises(NumericalError):
+            save_checkpoint([("head.b", bad)], NetworkConfig(), tmp_path / "new.ck")
+        assert not (tmp_path / "new.ck").exists()
 
     def test_empty_parameter_list_round_trips(self, tmp_path):
         cfg = NetworkConfig()

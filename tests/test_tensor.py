@@ -7,8 +7,7 @@ import pytest
 
 from rrnet.tensor import (
     Tensor,
-    channel_avg,
-    channel_max,
+    channel_pool,
     clip,
     concat,
     conv2d,
@@ -183,14 +182,22 @@ class TestActivations:
 
 
 class TestPool:
-    def test_channel_max_single_channel_identity(self, rng):
+    def test_channel_pool_single_channel_identity(self, rng):
         x = rng.uniform(size=(4, 5, 1)).astype(np.float32)
-        assert np.array_equal(channel_max(Tensor(x)).data, x)
+        out = channel_pool(Tensor(x)).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.concatenate([x, x], axis=2))
 
-    def test_channel_avg_two_values(self):
+    def test_channel_pool_two_values(self):
         x = np.zeros((1, 1, 2), dtype=np.float32)
         x[0, 0] = [1.0, 3.0]
-        assert channel_avg(Tensor(x)).data[0, 0, 0] == 2.0
+        assert channel_pool(Tensor(x)).data.tolist() == [[[2.0, 3.0]]]
+
+    def test_channel_pool_tied_max_gradient_goes_to_first_argmax(self):
+        x = Tensor(np.array([[[1.0, 2.0, 2.0, 0.5]]]), requires_grad=True, dtype=np.float64)
+        out = channel_pool(x)
+        tensor_sum(out * Tensor(np.array([[[0.5, 3.0]]]))).backward()
+        assert x.grad.tolist() == [[[0.125, 0.125 + 3.0, 0.125, 0.125]]]
 
     def test_upsample2x_replication(self):
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(2, 2, 1))
@@ -214,7 +221,7 @@ class TestPool:
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank-3"):
-            channel_avg(Tensor(np.zeros((3, 3))))
+            channel_pool(Tensor(np.zeros((3, 3))))
         with pytest.raises(ValueError, match="rank-2"):
             global_vertex_avg(Tensor(np.zeros((3, 3, 1))))
 
@@ -223,8 +230,7 @@ class TestDescriptorOracle:
     def test_channel_stats_match_loop(self, rng):
         x = rng.uniform(size=(5, 5, 6))
         t = Tensor(x, dtype=np.float64)
-        avg = channel_avg(t).data[:, :, 0]
-        mx = channel_max(t).data[:, :, 0]
+        avg, mx = np.moveaxis(channel_pool(t).data, 2, 0)
         for i in range(5):
             for j in range(5):
                 assert avg[i, j] == pytest.approx(sum(x[i, j]) / 6, abs=1e-12)
