@@ -8,7 +8,7 @@ branches average their three scales and a 1x1 fusion conv combines them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class PmaParams:
     right: dict[int, ConvParams]
     right_att: dict[int, ConvParams]
     fuse: ConvParams
-    feature_activation: str = "relu"
 
     def named_parameters(self, prefix: str = ""):
         for k in sorted(self.left):
@@ -64,13 +63,7 @@ class PmaParams:
         yield from self.fuse.named_parameters(prefix + "fuse.")
 
 
-def init_pma_params(
-    channels: int,
-    seed,
-    dtype=np.float32,
-    att_kernel: int = 7,
-    feature_activation: str = "relu",
-) -> PmaParams:
+def init_pma_params(channels: int, seed, dtype=np.float32) -> PmaParams:
     rng = as_rng(seed)
     c = int(channels)
 
@@ -83,9 +76,8 @@ def init_pma_params(
     return PmaParams(
         left={k: conv(k, 2, 1) for k in SCALES},
         right={k: conv(k, c, c) for k in SCALES},
-        right_att={k: conv(att_kernel, 2, 1) for k in SCALES},
+        right_att={k: conv(7, 2, 1) for k in SCALES},
         fuse=conv(1, 2, 1),
-        feature_activation=feature_activation,
     )
 
 
@@ -125,14 +117,8 @@ def right_branch(x: Tensor, p: PmaParams) -> Tensor:
     stacked descriptors, with a block-diagonal kernel: output j reads only
     descriptor j.
     """
-    if p.feature_activation == "relu":
-        act = relu
-    elif p.feature_activation == "sigmoid":
-        act = sigmoid
-    else:
-        raise ValueError(f"unknown feature activation '{p.feature_activation}'")
     scales = sorted(p.right)
-    d = concat([descriptor(act(conv2d(x, p.right[k].w, p.right[k].b))) for k in scales], axis=2)
+    d = concat([descriptor(relu(conv2d(x, p.right[k].w, p.right[k].b))) for k in scales], axis=2)
     att = [p.right_att[k] for k in scales]
     w = concat([_zero_pad(c.w, 2, 2 * j, 2 * (len(att) - 1 - j)) for j, c in enumerate(att)], axis=3)
     b = concat([c.b for c in att], axis=0)

@@ -272,6 +272,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_self_check(args) -> int:
+    if args.trials < 1:
+        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     results = run_self_check(trials=args.trials, seed=args.seed)
     failed = 0
     for r in results:

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"RRNETCK1"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class DataFormatError(ValueError):
@@ -396,8 +396,9 @@ def save_checkpoint(params, cfg: NetworkConfig, path) -> None:
 
     Each entry carries a CRC32 so payload corruption is detected on load.
     Accepts anything with named_parameters() or an iterable of (name, tensor).
-    An entry with NaN or infinite values raises NumericalError, and nothing
-    is written, since load_checkpoint would refuse the file.
+    An entry with NaN or infinite values, or values beyond float32 range,
+    raises NumericalError, and nothing is written, since load_checkpoint
+    would refuse the file.
     """
     if hasattr(params, "named_parameters"):
         items = list(params.named_parameters())
@@ -414,11 +415,15 @@ def save_checkpoint(params, cfg: NetworkConfig, path) -> None:
     out += cfg_blob
     out += struct.pack("<I", len(items))
     for name, tensor in items:
-        data = np.ascontiguousarray(
-            tensor.data if hasattr(tensor, "data") else tensor, dtype="<f4"
-        )
+        with np.errstate(over="ignore"):  # an overflow to inf is refused just below
+            data = np.ascontiguousarray(
+                tensor.data if hasattr(tensor, "data") else tensor, dtype="<f4"
+            )
         if not np.isfinite(data).all():
-            raise NumericalError(f"parameter '{name}' holds NaN or infinite values; {path} not written")
+            raise NumericalError(
+                f"parameter '{name}' holds NaN, infinite or beyond float32 range values; "
+                f"{path} not written"
+            )
         name_b = name.encode("utf-8")
         out += struct.pack("<H", len(name_b))
         out += name_b

@@ -49,9 +49,8 @@ DEGREE_EPS = 1e-6
 class ReasoningParams:
     """1x1 projection, diagonal-metric conv and the square mixing matrix.
 
-    With a shared projection (the default) the i- and j-sides of the
-    similarity use the same weights, which makes the adjacency symmetric and
-    the symmetric normalization well-posed.
+    The i- and j-sides of the similarity share the projection, which makes
+    the adjacency symmetric and the symmetric normalization well-posed.
     """
 
     proj_w: Tensor
@@ -59,40 +58,22 @@ class ReasoningParams:
     lambda_w: Tensor
     lambda_b: Tensor
     theta: Tensor
-    proj_w_j: Tensor | None = None
-    proj_b_j: Tensor | None = None
-
-    @property
-    def shared_projection(self) -> bool:
-        return self.proj_w_j is None
 
     def named_parameters(self, prefix: str = ""):
-        yield prefix + "proj_w", self.proj_w
-        yield prefix + "proj_b", self.proj_b
-        if self.proj_w_j is not None:
-            yield prefix + "proj_w_j", self.proj_w_j
-            yield prefix + "proj_b_j", self.proj_b_j
-        yield prefix + "lambda_w", self.lambda_w
-        yield prefix + "lambda_b", self.lambda_b
-        yield prefix + "theta", self.theta
+        for name in ("proj_w", "proj_b", "lambda_w", "lambda_b", "theta"):
+            yield prefix + name, getattr(self, name)
 
 
-def init_reasoning_params(
-    feature_dim: int, seed, dtype=np.float32, shared_projection: bool = True
-) -> ReasoningParams:
+def init_reasoning_params(feature_dim: int, seed, dtype=np.float32) -> ReasoningParams:
     rng = as_rng(seed)
     a2 = int(feature_dim)
-    p = ReasoningParams(
+    return ReasoningParams(
         proj_w=xavier_uniform((a2, a2), rng, dtype=dtype),
         proj_b=constant_init((a2,), 0.0, dtype=dtype),
         lambda_w=xavier_uniform((a2, a2), rng, dtype=dtype),
         lambda_b=constant_init((a2,), 0.0, dtype=dtype),
         theta=xavier_uniform((a2, a2), rng, dtype=dtype),
     )
-    if not shared_projection:
-        p.proj_w_j = xavier_uniform((a2, a2), rng, dtype=dtype)
-        p.proj_b_j = constant_init((a2,), 0.0, dtype=dtype)
-    return p
 
 
 def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
@@ -118,16 +99,11 @@ def adjacency(m: Tensor, p: ReasoningParams) -> Tensor:
         raise ValueError(
             f"reasoning params sized for feature dim {p.proj_w.shape[0]}, graph has {a2}"
         )
-    proj_i = relu(m @ p.proj_w + p.proj_b)
-    if p.shared_projection:
-        proj_j = proj_i
-    else:
-        proj_j = relu(m @ p.proj_w_j + p.proj_b_j)
+    proj = relu(m @ p.proj_w + p.proj_b)
     lam = relu(global_vertex_avg(m) @ p.lambda_w + p.lambda_b)  # 1 x a2 diagonal
-    adj = (proj_i * lam) @ transpose(proj_j)
-    if p.shared_projection:
-        # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
-        adj = (adj + transpose(adj)) * 0.5
+    adj = (proj * lam) @ transpose(proj)
+    # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
+    adj = (adj + transpose(adj)) * 0.5
     if not np.isfinite(adj.data).all():
         raise NumericalError("adjacency produced non-finite entries")
     return adj
@@ -167,21 +143,19 @@ def _hwc(x: Tensor, name: str) -> tuple[int, int, int]:
     return x.shape
 
 
-def srr(x: Tensor, p: ReasoningParams, residual: bool = False) -> Tensor:
+def srr(x: Tensor, p: ReasoningParams) -> Tensor:
     """Spatial relational reasoning: the H*W pixels are the vertexes, vertex
     k being pixel (k // W, k % W) with its C channel values as features."""
     h, w, c = _hwc(x, "srr")
-    out = reshape(graph_reason(reshape(x, (h * w, c)), p), (h, w, c))
-    return x + out if residual else out
+    return reshape(graph_reason(reshape(x, (h * w, c)), p), (h, w, c))
 
 
-def crr(x: Tensor, p: ReasoningParams, residual: bool = False) -> Tensor:
+def crr(x: Tensor, p: ReasoningParams) -> Tensor:
     """Channel relational reasoning: the C channels are the vertexes, each
     described by its H*W pixel values."""
     h, w, c = _hwc(x, "crr")
     out = graph_reason(transpose(reshape(x, (h * w, c))), p)
-    out = reshape(transpose(out), (h, w, c))
-    return x + out if residual else out
+    return reshape(transpose(out), (h, w, c))
 
 
 # -- non-local block (ablation alternative to relational reasoning) ----------

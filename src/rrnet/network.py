@@ -55,10 +55,6 @@ class NetworkConfig:
     use_crr: bool = True
     use_nonlocal: bool = False
     pma_branch: str = "both"
-    rr_residual: bool = False
-    rr_shared_projection: bool = True
-    pma_feature_activation: str = "relu"
-    pma_att_kernel: int = 7
 
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
@@ -67,6 +63,8 @@ class NetworkConfig:
             raise ValueError(f"stage_channels needs 5 entries, got {self.stage_channels}")
         if any(c < 1 for c in self.stage_channels):
             raise ValueError(f"stage_channels must be positive, got {self.stage_channels}")
+        if self.decoder_width < 1:
+            raise ValueError(f"decoder_width must be positive, got {self.decoder_width}")
         if len(self.input_size) != 2:
             raise ValueError(f"input_size needs 2 entries, got {self.input_size}")
         h, w = self.input_size
@@ -76,10 +74,6 @@ class NetworkConfig:
             raise ValueError("use_nonlocal excludes use_srr/use_crr")
         if self.pma_branch not in ("both", "left", "right"):
             raise ValueError(f"pma_branch must be both|left|right, got '{self.pma_branch}'")
-        if self.pma_feature_activation not in ("relu", "sigmoid"):
-            raise ValueError(
-                f"pma_feature_activation must be relu|sigmoid, got '{self.pma_feature_activation}'"
-            )
 
     def stage_spatial(self, s: int) -> tuple[int, int]:
         """Spatial size of stage s output (stride 2**s relative to the input)."""
@@ -233,20 +227,10 @@ def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkPa
     for s in HIGH_STAGES:
         c = cfg.stage_channels[s - 1]
         h, w = cfg.stage_spatial(s)
-        params.rr_spatial[s] = G.init_reasoning_params(
-            c, rng, dtype=dtype, shared_projection=cfg.rr_shared_projection
-        )
-        params.rr_channel[s] = G.init_reasoning_params(
-            h * w, rng, dtype=dtype, shared_projection=cfg.rr_shared_projection
-        )
+        params.rr_spatial[s] = G.init_reasoning_params(c, rng, dtype=dtype)
+        params.rr_channel[s] = G.init_reasoning_params(h * w, rng, dtype=dtype)
     for s in LOW_STAGES:
-        params.pma[s] = A.init_pma_params(
-            cfg.stage_channels[s - 1],
-            rng,
-            dtype=dtype,
-            att_kernel=cfg.pma_att_kernel,
-            feature_activation=cfg.pma_feature_activation,
-        )
+        params.pma[s] = A.init_pma_params(cfg.stage_channels[s - 1], rng, dtype=dtype)
     width = cfg.decoder_width
     for s in (5, 4, 3, 2):
         up_ch = cfg.stage_channels[4] if s == 5 else width
@@ -296,9 +280,9 @@ def encode(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> list[Ten
                 h = G.non_local_block(h, params.nonlocal_[s])
             else:
                 if cfg.use_srr:
-                    h = G.srr(h, params.rr_spatial[s], residual=cfg.rr_residual)
+                    h = G.srr(h, params.rr_spatial[s])
                 if cfg.use_crr:
-                    h = G.crr(h, params.rr_channel[s], residual=cfg.rr_residual)
+                    h = G.crr(h, params.rr_channel[s])
         feats.append(h)
     return feats
 

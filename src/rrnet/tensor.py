@@ -112,7 +112,11 @@ class Tensor:
 
     @property
     def grad(self):
-        """Accumulated gradient; reads as zeros when nothing reached it."""
+        """Accumulated gradient; reads as zeros when nothing reached it.
+
+        The array may be shared with other tensors' gradients or be a
+        read-only broadcast view, so treat it as read-only.
+        """
         if self._grad is None and self.requires_grad:
             self._grad = np.zeros_like(self.data)
         return self._grad
@@ -158,10 +162,12 @@ class Tensor:
                 node._backward = None  # free the tape
 
     def _accumulate(self, g) -> None:
+        # g may be shared (add's backward hands one array to both operands),
+        # so it is kept without a copy and never written in place
         if self._grad is None:
-            self._grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self._grad = np.asarray(g, dtype=self.data.dtype)
         else:
-            self._grad += g
+            self._grad = self._grad + g
 
     # -- operator sugar --------------------------------------------------
 

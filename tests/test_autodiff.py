@@ -77,6 +77,15 @@ class TestBackwardBasics:
         loss.backward()
         assert x.grad[0] == pytest.approx(2 * 3.0 + 4.0)
 
+    def test_shared_upstream_gradient_is_not_aliased(self):
+        # add's backward hands one array to both operands; a later
+        # accumulation into one of them must not show up in the other
+        a = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+        b = Tensor(np.zeros(3), requires_grad=True, dtype=np.float64)
+        (T.tensor_sum(a + b) + T.tensor_sum(a * 3.0)).backward()
+        assert np.array_equal(b.grad, np.ones(3))
+        assert np.array_equal(a.grad, np.full(3, 4.0))
+
 
 @pytest.mark.parametrize("name", [n for n, _ in op_cases(np.random.default_rng(0))])
 def test_op_gradients_match_finite_differences(name):

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -196,15 +197,23 @@ class TestTrain:
         assert not (tmp_path / "m.ck").exists()
 
     @pytest.mark.parametrize(
-        "flags", [["--iters", "-5"], ["--batch", "0"], ["--lr", "-1"], ["--lr", "nan"], ["--final-lr", "inf"]]
+        "flags",
+        [
+            ["--iters", "-5"], ["--batch", "0"], ["--lr", "-1"], ["--lr", "nan"], ["--final-lr", "inf"],
+            ["--decoder-width", "0"], ["--decoder-width", "-3"],
+        ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
+        key = {
+            "--iters": "iterations", "--batch": "batch_size", "--lr": "lr_initial",
+            "--final-lr": "lr_final", "--decoder-width": "decoder_width",
+        }[flags[0]]
         code, _, err = run(
             capsys, "train", "--synthetic", "1", "--iters", "1", "--out", str(tmp_path / "m.ck"),
             *TINY_NET, *flags,
         )
         assert code == EXIT_USAGE
-        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert err.startswith(f"usage error: {key} must be") and len(err.splitlines()) == 1
         assert not (tmp_path / "m.ck").exists()
 
     def test_bad_stage_channels_names_the_flag(self, tmp_path, capsys):
@@ -240,6 +249,27 @@ class TestTrain:
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--out", str(tmp_path / "m.ck"))
         assert code == EXIT_USAGE
+
+    def test_every_network_config_key_has_a_flag(self, tmp_path, capsys):
+        def trained_cfg(*flags):
+            ck = tmp_path / "m.ck"
+            code, _, _ = run(
+                capsys, "train", "--synthetic", "1", "--iters", "0", "--size", "32",
+                "--out", str(ck), *TINY_NET, *flags,
+            )
+            assert code == EXIT_OK, flags
+            return load_checkpoint(ck)[1]
+
+        base = trained_cfg()
+        variants = [
+            ["--size", "64"], ["--decoder-width", "5"], ["--stage-channels", "2,2,3,3,4"],
+            ["--no-pma"], ["--no-srr"], ["--no-crr"], ["--nonlocal"], ["--pma-branch", "left"],
+        ]
+        reached = set()
+        for flags in variants:
+            cfg = trained_cfg(*flags)
+            reached |= {f.name for f in fields(NetworkConfig) if getattr(cfg, f.name) != getattr(base, f.name)}
+        assert reached == {f.name for f in fields(NetworkConfig)}
 
 
 class TestInfer:
@@ -299,6 +329,17 @@ class TestInfer:
         )
         assert code == EXIT_DATA
         assert err.startswith("data error:") and "'decoder_width'" in err
+        assert len(err.splitlines()) == 1
+
+    def test_checkpoint_of_an_older_version_is_data_error(self, trained, capsys):
+        tmp_path, ck = trained
+        data = bytearray(ck.read_bytes())
+        struct.pack_into("<I", data, 8, 2)
+        ck.write_bytes(bytes(data))
+        img = next((tmp_path / "d" / "images").glob("*.ppm"))
+        code, _, err = run(capsys, "infer", "--checkpoint", str(ck), "--input", str(img), "--output", str(tmp_path / "o.pgm"))
+        assert code == EXIT_DATA
+        assert err.startswith("data error: checkpoint version 2") and "re-save" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("name,value", [("head.c2.b", np.nan), ("backbone.s1.c0.w", -np.inf)])
@@ -508,6 +549,12 @@ class TestSelfCheck:
         assert code == EXIT_OK
         assert "checks passed" in out
         assert "FAIL" not in out
+
+    def test_zero_trials_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "self-check", "--trials", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("usage error:") and "--trials" in err and len(err.splitlines()) == 1
 
 
 class TestUsage:

@@ -325,13 +325,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="duplicate"):
             save_checkpoint([("w", t), ("w", t)], cfg, tmp_path / "x.ck")
 
-    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
     def test_non_finite_entry_rejected_on_save_and_nothing_written(self, tmp_path, value):
         good = Tensor(np.ones(2, dtype=np.float32))
         bad = Tensor(np.array([0.5, value]), dtype=np.float64)
         path = tmp_path / "x.ck"
         path.write_bytes(b"previous")
-        with pytest.raises(NumericalError, match="'head.b'"):
+        with pytest.raises(NumericalError, match="'head.b' holds NaN, infinite or beyond float32 range"):
             save_checkpoint([("w", good), ("head.b", bad)], NetworkConfig(), path)
         assert path.read_bytes() == b"previous"
         with pytest.raises(NumericalError):

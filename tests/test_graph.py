@@ -63,13 +63,6 @@ class TestAdjacency:
             assert np.array_equal(adj, adj.T)
             assert (adj >= 0).all()
 
-    def test_unshared_projection_params(self, rng):
-        p = init_reasoning_params(4, rng, dtype=np.float64, shared_projection=False)
-        assert not p.shared_projection
-        m = rng.standard_normal((5, 4))
-        adj = adjacency(Tensor(m, dtype=np.float64), p).data
-        assert adj.shape == (5, 5)
-
     def test_dimension_mismatch_rejected(self, rng):
         p = init_reasoning_params(3, rng)
         with pytest.raises(ValueError, match="feature dim"):
@@ -195,13 +188,6 @@ class TestSrrCrr:
         for fn, p in ((srr, init_reasoning_params(3, rng)), (crr, init_reasoning_params(9, rng))):
             with pytest.raises(ValueError, match="rank-3"):
                 fn(Tensor(np.zeros((9, 3))), p)
-
-    def test_residual_flag(self, rng):
-        x = Tensor(rng.standard_normal((2, 2, 4)), dtype=np.float64)
-        p = init_reasoning_params(4, rng, dtype=np.float64)
-        plain = srr(x, p).data
-        res = srr(x, p, residual=True).data
-        assert np.allclose(res, x.data + plain)
 
     def test_output_non_negative(self, rng):
         x = Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32))

@@ -48,6 +48,11 @@ class TestConfig:
         cfg = NetworkConfig(use_nonlocal=True, use_srr=False, use_crr=False)
         assert cfg.use_nonlocal
 
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_decoder_width_must_be_positive(self, width):
+        with pytest.raises(ValueError, match="decoder_width must be positive"):
+            NetworkConfig(decoder_width=width)
+
     def test_input_size_divisibility(self):
         with pytest.raises(ValueError, match="divisible by 32"):
             NetworkConfig(input_size=(100, 100))
