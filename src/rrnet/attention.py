@@ -18,6 +18,7 @@ from .tensor import Tensor, channel_pool, concat, conv2d, relu, reshape, sigmoid
 __all__ = [
     "SCALES",
     "ConvParams",
+    "init_conv_params",
     "PmaParams",
     "descriptor",
     "left_branch",
@@ -38,6 +39,14 @@ class ConvParams:
     def named_parameters(self, prefix: str = ""):
         yield prefix + "w", self.w
         yield prefix + "b", self.b
+
+
+def init_conv_params(rng, k: int, cin: int, cout: int, dtype) -> ConvParams:
+    """A k x k cin->cout conv: Xavier-uniform weights drawn from rng, zero bias."""
+    return ConvParams(
+        w=xavier_uniform((k, k, cin, cout), rng, dtype=dtype),
+        b=constant_init((cout,), 0.0, dtype=dtype),
+    )
 
 
 @dataclass
@@ -66,18 +75,11 @@ class PmaParams:
 def init_pma_params(channels: int, seed, dtype=np.float32) -> PmaParams:
     rng = as_rng(seed)
     c = int(channels)
-
-    def conv(k, cin, cout):
-        return ConvParams(
-            w=xavier_uniform((k, k, cin, cout), rng, dtype=dtype),
-            b=constant_init((cout,), 0.0, dtype=dtype),
-        )
-
     return PmaParams(
-        left={k: conv(k, 2, 1) for k in SCALES},
-        right={k: conv(k, c, c) for k in SCALES},
-        right_att={k: conv(7, 2, 1) for k in SCALES},
-        fuse=conv(1, 2, 1),
+        left={k: init_conv_params(rng, k, 2, 1, dtype) for k in SCALES},
+        right={k: init_conv_params(rng, k, c, c, dtype) for k in SCALES},
+        right_att={k: init_conv_params(rng, 7, 2, 1, dtype) for k in SCALES},
+        fuse=init_conv_params(rng, 1, 2, 1, dtype),
     )
 
 

@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
 failure (NaN detected). A closed stdout is not an error: the command drops
-its remaining output, finishes and exits 0. RRNET_THREADS caps evaluation
-parallelism.
+its remaining output, finishes and exits 0.
 """
 
 from __future__ import annotations
@@ -66,6 +65,14 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expects a comma list of integers, got '{text}'") from None
 
 
+def _square(text: str) -> tuple[int, int]:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return n, n
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rrnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -82,25 +89,29 @@ def _build_parser() -> _Parser:
     src.add_argument("--manifest", help="image<TAB>mask manifest file")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--config", help="key=value config file")
-    p.add_argument("--iters", type=int, default=None, help="training iterations (default 2000)")
-    p.add_argument("--batch", type=int, default=None, help="batch size (default 8)")
-    p.add_argument("--lr", type=float, default=None, help="initial learning rate (default 5e-5)")
-    p.add_argument("--final-lr", type=float, default=None, help="final learning rate (default 5e-7)")
-    p.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
+    # each flag below stores into its NetworkConfig or TrainSettings key and
+    # defaults to None, so a flag not given leaves the config file's value
+    p.add_argument("--iters", dest="iterations", type=int, help="training iterations (default 2000)")
+    p.add_argument("--batch", dest="batch_size", type=int, help="batch size (default 8)")
+    p.add_argument("--lr", dest="lr_initial", type=float, help="initial learning rate (default 5e-5)")
+    p.add_argument("--final-lr", dest="lr_final", type=float, help="final learning rate (default 5e-7)")
+    p.add_argument("--seed", type=int, help="random seed (default 0)")
     p.add_argument(
         "--size",
-        type=int,
-        default=None,
+        dest="input_size",
+        type=_square,
         help="training resolution, divisible by 32 (default 64 unless the config file sets input_size)",
     )
-    p.add_argument("--decoder-width", type=int, default=None)
-    p.add_argument("--stage-channels", type=_int_list, default=None, help="comma list of 5 stage widths")
-    p.add_argument("--no-augment", action="store_true")
-    p.add_argument("--no-pma", action="store_true")
-    p.add_argument("--no-srr", action="store_true")
-    p.add_argument("--no-crr", action="store_true")
-    p.add_argument("--nonlocal", dest="nonlocal_", action="store_true", help="replace RR with non-local blocks")
-    p.add_argument("--pma-branch", choices=("both", "left", "right"), default=None)
+    p.add_argument("--decoder-width", type=int)
+    p.add_argument("--stage-channels", type=_int_list, help="comma list of 5 stage widths")
+    p.add_argument("--no-augment", dest="augment", action="store_false", default=None)
+    p.add_argument("--no-pma", dest="use_pma", action="store_false", default=None)
+    p.add_argument("--no-srr", dest="use_srr", action="store_false", default=None)
+    p.add_argument("--no-crr", dest="use_crr", action="store_false", default=None)
+    p.add_argument(
+        "--nonlocal", dest="use_nonlocal", action="store_true", default=None, help="replace RR with non-local blocks"
+    )
+    p.add_argument("--pma-branch", choices=("both", "left", "right"))
 
     p = sub.add_parser("infer", help="run a checkpoint on one image")
     p.add_argument("--checkpoint", required=True)
@@ -137,31 +148,10 @@ def _cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _network_config_from_args(args, file_kv: dict[str, str]) -> NetworkConfig:
-    net_kv = {k: v for k, v in file_kv.items() if k in _NET_KEYS}
-    cfg = from_mapping(NetworkConfig, net_kv)
-    overrides = {}
-    if args.size is not None:
-        overrides["input_size"] = (args.size, args.size)
-    elif "input_size" not in net_kv:
-        overrides["input_size"] = (64, 64)  # toy training default
-    if args.decoder_width is not None:
-        overrides["decoder_width"] = args.decoder_width
-    if args.stage_channels is not None:
-        overrides["stage_channels"] = args.stage_channels
-    if args.no_pma:
-        overrides["use_pma"] = False
-    if args.no_srr:
-        overrides["use_srr"] = False
-    if args.no_crr:
-        overrides["use_crr"] = False
-    if args.nonlocal_:
-        overrides["use_nonlocal"] = True
-        overrides["use_srr"] = False
-        overrides["use_crr"] = False
-    if args.pma_branch is not None:
-        overrides["pma_branch"] = args.pma_branch
-    return replace(cfg, **overrides)
+def _overlay(obj, args):
+    """obj with each field whose flag was given replaced by the flag's value."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(obj)}
+    return replace(obj, **{k: v for k, v in given.items() if v is not None})
 
 
 def _cmd_train(args) -> int:
@@ -172,18 +162,15 @@ def _cmd_train(args) -> int:
         unknown = set(file_kv) - _NET_KEYS - _TRAIN_KEYS
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    cfg = _network_config_from_args(args, file_kv)
-    settings = from_mapping(TrainSettings, {k: v for k, v in file_kv.items() if k in _TRAIN_KEYS})
-    flags = {
-        "iterations": args.iters,
-        "batch_size": args.batch,
-        "lr_initial": args.lr,
-        "lr_final": args.final_lr,
-        "seed": args.seed,
-        "augment": False if args.no_augment else None,
-    }
+    if args.use_nonlocal:
+        args.use_srr = args.use_crr = False
+    if args.input_size is None and "input_size" not in file_kv:
+        args.input_size = (64, 64)  # toy training default
+    net_kv = {k: v for k, v in file_kv.items() if k in _NET_KEYS}
+    train_kv = {k: v for k, v in file_kv.items() if k in _TRAIN_KEYS}
     # an explicit flag wins over the config file
-    settings = replace(settings, **{k: v for k, v in flags.items() if v is not None})
+    cfg = _overlay(from_mapping(NetworkConfig, net_kv), args)
+    settings = _overlay(from_mapping(TrainSettings, train_kv), args)
     if args.synthetic is not None:
         samples = dataio.synth_dataset(args.synthetic, settings.seed, cfg.input_size[0])
     else:
@@ -244,11 +231,6 @@ def _cmd_eval(args) -> int:
     if not preds:
         print("error: no .pgm files to evaluate", file=sys.stderr)
         return EXIT_DATA
-    raw_threads = os.environ.get("RRNET_THREADS", "1")
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise _UsageError(f"RRNET_THREADS must be an integer, got '{raw_threads}'") from None
 
     def pairs():  # read and checked one at a time, as evaluate_pairs draws them
         for k in sorted(preds):
@@ -259,7 +241,7 @@ def _cmd_eval(args) -> int:
                 )
             yield s, gt, k
 
-    report = evaluate_pairs(pairs(), threads=max(threads, 1))
+    report = evaluate_pairs(pairs())
     for sample_id in report.skipped_fpr:
         print(f"warning: '{sample_id}' has no foreground; excluded from F/PR", file=sys.stderr)
     Path(args.report).write_text(report_to_json(report))
@@ -309,7 +291,7 @@ def main(argv=None) -> int:
             return EXIT_DATA
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as e:

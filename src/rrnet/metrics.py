@@ -298,21 +298,15 @@ def evaluate_pair(s: np.ndarray, gt: np.ndarray, sample_id: str = "") -> ImageMe
     return row
 
 
-def evaluate_pairs(pairs, threads: int = 1) -> MetricReport:
+def evaluate_pairs(pairs) -> MetricReport:
     """Evaluate (s, gt, id) triples; all-background GT is skipped for F/PR.
 
-    With one thread each pair is scored as it is drawn from the iterable, so
-    a generator of pairs holds one pair in memory at a time.
+    Each pair is scored as it is drawn from the iterable, so a generator of
+    pairs holds one pair in memory at a time.
     """
     report = MetricReport()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: evaluate_pair(*t), pairs))
-    else:
-        rows = (evaluate_pair(*t) for t in pairs)
-    for row in rows:
+    for t in pairs:
+        row = evaluate_pair(*t)
         report.per_image.append(row)
         if row.f_beta_max is None:
             report.skipped_fpr.append(row.id)

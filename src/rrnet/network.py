@@ -10,8 +10,8 @@ import numpy as np
 
 from . import graph as G
 from . import attention as A
-from .attention import ConvParams
-from .init import as_rng, constant_init, xavier_uniform
+from .attention import ConvParams, init_conv_params
+from .init import as_rng
 from .tensor import (
     Tensor,
     clip,
@@ -67,9 +67,8 @@ class NetworkConfig:
             raise ValueError(f"decoder_width must be positive, got {self.decoder_width}")
         if len(self.input_size) != 2:
             raise ValueError(f"input_size needs 2 entries, got {self.input_size}")
-        h, w = self.input_size
-        if h % 32 or w % 32:
-            raise ValueError(f"input_size must be divisible by 32, got {self.input_size}")
+        if any(n < 32 or n % 32 for n in self.input_size):
+            raise ValueError(f"input_size must be positive and divisible by 32, got {self.input_size}")
         if self.use_nonlocal and (self.use_srr or self.use_crr):
             raise ValueError("use_nonlocal excludes use_srr/use_crr")
         if self.pma_branch not in ("both", "left", "right"):
@@ -190,17 +189,6 @@ class NetworkParams:
         for s in sorted(self.nonlocal_):
             yield from self.nonlocal_[s].named_parameters(f"nonlocal.s{s}.")
 
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
-
-
-def _conv_params(rng, k: int, cin: int, cout: int, dtype) -> ConvParams:
-    return ConvParams(
-        w=xavier_uniform((k, k, cin, cout), rng, dtype=dtype),
-        b=constant_init((cout,), 0.0, dtype=dtype),
-    )
-
 
 def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkParams:
     """Create every parameter tensor the architecture can use.
@@ -217,9 +205,9 @@ def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkPa
         params.stages.append(
             StageParams(
                 convs=[
-                    _conv_params(rng, 3, cin, cout, dtype),
-                    _conv_params(rng, 3, cout, cout, dtype),
-                    _conv_params(rng, 3, cout, cout, dtype),
+                    init_conv_params(rng, 3, cin, cout, dtype),
+                    init_conv_params(rng, 3, cout, cout, dtype),
+                    init_conv_params(rng, 3, cout, cout, dtype),
                 ]
             )
         )
@@ -234,11 +222,11 @@ def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkPa
     width = cfg.decoder_width
     for s in (5, 4, 3, 2):
         up_ch = cfg.stage_channels[4] if s == 5 else width
-        params.decoder[s] = _conv_params(rng, 3, up_ch + cfg.stage_channels[s - 2], width, dtype)
+        params.decoder[s] = init_conv_params(rng, 3, up_ch + cfg.stage_channels[s - 2], width, dtype)
     params.head = [
-        _conv_params(rng, 3, width, width, dtype),
-        _conv_params(rng, 3, width, width, dtype),
-        _conv_params(rng, 1, width, 1, dtype),
+        init_conv_params(rng, 3, width, width, dtype),
+        init_conv_params(rng, 3, width, width, dtype),
+        init_conv_params(rng, 1, width, 1, dtype),
     ]
     if cfg.use_nonlocal:
         for s in HIGH_STAGES:

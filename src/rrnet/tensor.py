@@ -223,7 +223,11 @@ def _wrap(x, dtype=None) -> Tensor:
 
 
 def _from_op(data, parents: Sequence[Tensor], backward) -> Tensor:
-    """Wrap an op's result; ``backward(g)`` gets the output gradient ``g``."""
+    """Wrap an op's result; ``backward(g)`` gets the output gradient ``g``.
+
+    ``backward`` is kept only when some parent requires grad, so the backward
+    of a single-parent op need not check its parent.
+    """
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -287,8 +291,7 @@ def power(a, p) -> Tensor:
     p = float(p)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * p * np.power(a.data, p - 1.0))
+        a._accumulate(g * p * np.power(a.data, p - 1.0))
 
     return _from_op(np.power(a.data, p), (a,), backward)
 
@@ -317,8 +320,7 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
+        a._accumulate(g.reshape(a.shape))
 
     return _from_op(a.data.reshape(shape), (a,), backward)
 
@@ -331,8 +333,7 @@ def transpose(a, axes=None) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inverse))
+        a._accumulate(g.transpose(inverse))
 
     return _from_op(a.data.transpose(axes), (a,), backward)
 
@@ -368,10 +369,9 @@ def take_rows(a, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.intp)
 
     def backward(g):
-        if a.requires_grad:
-            grad = np.zeros_like(a.data)
-            np.add.at(grad, idx, g)
-            a._accumulate(grad)
+        grad = np.zeros_like(a.data)
+        np.add.at(grad, idx, g)
+        a._accumulate(grad)
 
     return _from_op(a.data[idx], (a,), backward)
 
@@ -383,10 +383,9 @@ def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
 
     def backward(g):
-        if a.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, a.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -403,8 +402,7 @@ def relu(a) -> Tensor:
     a = _wrap(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
+        a._accumulate(g * (a.data > 0))
 
     return _from_op(np.maximum(a.data, 0), (a,), backward)
 
@@ -422,8 +420,7 @@ def sigmoid(a) -> Tensor:
     s = np.clip(s, SIGMOID_MIN, 1.0 - SIGMOID_MIN).astype(x.dtype)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * s * (1.0 - s))
+        a._accumulate(g * s * (1.0 - s))
 
     return _from_op(s, (a,), backward)
 
@@ -432,8 +429,7 @@ def log(a) -> Tensor:
     a = _wrap(a)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
+        a._accumulate(g / a.data)
 
     return _from_op(np.log(a.data), (a,), backward)
 
@@ -450,8 +446,7 @@ def clip(a, lo=None, hi=None) -> Tensor:
         mask &= a.data <= hi
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * mask)
+        a._accumulate(g * mask)
 
     return _from_op(np.clip(a.data, lo, hi), (a,), backward)
 
@@ -463,8 +458,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     s = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
     return _from_op(s, (a,), backward)
 
@@ -573,8 +567,7 @@ def upsample2x(a) -> Tensor:
     h, w, c = a.shape
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)))
+        a._accumulate(g.reshape(h, 2, w, 2, c).sum(axis=(1, 3)))
 
     data = np.repeat(np.repeat(a.data, 2, axis=0), 2, axis=1)
     return _from_op(data, (a,), backward)
@@ -598,12 +591,11 @@ def channel_pool(a) -> Tensor:
     data[:, :, 1] = srt[:, :, -1]
 
     def backward(g):
-        if a.requires_grad:
-            g_mean = g[:, :, :1] / c
-            grad = np.repeat(g_mean, c, axis=2)
-            idx = np.argmax(a.data, axis=2)[:, :, None]
-            np.put_along_axis(grad, idx, g_mean + g[:, :, 1:], axis=2)
-            a._accumulate(grad)
+        g_mean = g[:, :, :1] / c
+        grad = np.repeat(g_mean, c, axis=2)
+        idx = np.argmax(a.data, axis=2)[:, :, None]
+        np.put_along_axis(grad, idx, g_mean + g[:, :, 1:], axis=2)
+        a._accumulate(grad)
 
     return _from_op(data, (a,), backward)
 
@@ -616,7 +608,6 @@ def global_vertex_avg(a) -> Tensor:
     n = a.shape[0]
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(np.broadcast_to(g / n, a.shape))
+        a._accumulate(np.broadcast_to(g / n, a.shape))
 
     return _from_op(a.data.mean(axis=0, keepdims=True), (a,), backward)

@@ -200,13 +200,13 @@ class TestTrain:
         "flags",
         [
             ["--iters", "-5"], ["--batch", "0"], ["--lr", "-1"], ["--lr", "nan"], ["--final-lr", "inf"],
-            ["--decoder-width", "0"], ["--decoder-width", "-3"],
+            ["--decoder-width", "0"], ["--decoder-width", "-3"], ["--size", "0"], ["--size", "-32"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
         key = {
             "--iters": "iterations", "--batch": "batch_size", "--lr": "lr_initial",
-            "--final-lr": "lr_final", "--decoder-width": "decoder_width",
+            "--final-lr": "lr_final", "--decoder-width": "decoder_width", "--size": "input_size",
         }[flags[0]]
         code, _, err = run(
             capsys, "train", "--synthetic", "1", "--iters", "1", "--out", str(tmp_path / "m.ck"),
@@ -245,6 +245,7 @@ class TestTrain:
         assert code == EXIT_OK
         _, cfg = load_checkpoint(ck)
         assert not (cfg.use_pma or cfg.use_srr or cfg.use_crr)
+        assert cfg.input_size == (64, 64)  # neither --size nor a config file sets it
 
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--out", str(tmp_path / "m.ck"))
@@ -329,6 +330,19 @@ class TestInfer:
         )
         assert code == EXIT_DATA
         assert err.startswith("data error:") and "'decoder_width'" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("size", [b"0,0", b"-32,64"])
+    def test_checkpoint_with_non_positive_input_size_is_data_error(self, tmp_path, capsys, size):
+        ck = tmp_path / "model.ck"
+        save_checkpoint([], NetworkConfig(), ck)
+        replace_config_blob(ck, b"input_size=" + size + b"\n")
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and "input_size must be positive" in err
         assert len(err.splitlines()) == 1
 
     def test_checkpoint_of_an_older_version_is_data_error(self, trained, capsys):
@@ -471,10 +485,14 @@ class TestEval:
         assert code == EXIT_DATA and "'b'" in err
         assert not report.exists() and not curve.exists()
 
-    def test_pairs_are_read_and_scored_one_at_a_time(self, tmp_path, capsys, rng, monkeypatch):
+    # eval has one streaming path; a thread count in the environment must not change it
+    @pytest.mark.parametrize("retired_knob", [None, "4"])
+    def test_pairs_are_read_and_scored_one_at_a_time(self, tmp_path, capsys, rng, monkeypatch, retired_knob):
+        if retired_knob is not None:
+            monkeypatch.setenv("RRNET_THREADS", retired_knob)
         pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
         pred_d.mkdir(), gt_d.mkdir()
-        for i in range(3):
+        for i in range(8):
             gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
             self._write_pair(pred_d, gt_d, f"s{i}", rng.uniform(size=(8, 8)), gt)
         events = []
@@ -493,7 +511,7 @@ class TestEval:
             "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
         )
         assert code == EXIT_OK
-        assert events == ["read", "score"] * 3
+        assert events == ["read", "score"] * 8
 
     def test_all_background_gt_warned_and_excluded(self, tmp_path, capsys, rng):
         pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
@@ -512,35 +530,27 @@ class TestEval:
         doc = json.loads(report.read_text())
         assert doc["aggregate"]["skipped_for_f_pr"] == ["empty"]
 
-    def test_rrnet_threads_env(self, tmp_path, capsys, rng, monkeypatch):
-        monkeypatch.setenv("RRNET_THREADS", "3")
-        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
-        pred_d.mkdir(), gt_d.mkdir()
-        for i in range(4):
-            gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
-            gt[0, 0] = 1.0
-            self._write_pair(pred_d, gt_d, f"s{i}", gt, gt)
-        code, _, _ = run(
-            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
-            "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
-        )
-        assert code == EXIT_OK
 
-
-    def test_bad_rrnet_threads_is_usage_error_naming_it(self, tmp_path, capsys, rng, monkeypatch):
-        monkeypatch.setenv("RRNET_THREADS", "abc")
-        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
-        pred_d.mkdir(), gt_d.mkdir()
-        gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
-        gt[0, 0] = 1.0
-        self._write_pair(pred_d, gt_d, "s0", gt, gt)
-        code, _, err = run(
-            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
-            "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
-        )
-        assert code == EXIT_USAGE
-        assert err.startswith("usage error:") and "RRNET_THREADS" in err
-        assert len(err.splitlines()) == 1
+@pytest.mark.parametrize(
+    "command,flag", [("eval", "--report"), ("infer", "--input"), ("infer", "--output"), ("infer", "--checkpoint")]
+)
+def test_directory_in_place_of_a_file_is_data_error(tmp_path, capsys, command, flag):
+    run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", "1", "--size", "32")
+    ck = tmp_path / "m.ck"
+    run(capsys, "train", "--synthetic", "1", "--iters", "0", "--size", "32", "--out", str(ck), *TINY_NET)
+    masks = tmp_path / "d" / "masks"
+    argv = {
+        "eval": {"--pred": masks, "--gt": masks, "--report": tmp_path / "r.json", "--prcurve": tmp_path / "c.csv"},
+        "infer": {
+            "--checkpoint": ck,
+            "--input": next((tmp_path / "d" / "images").glob("*.ppm")),
+            "--output": tmp_path / "o.pgm",
+        },
+    }[command]
+    argv[flag] = tmp_path
+    code, _, err = run(capsys, command, *(str(a) for kv in argv.items() for a in kv))
+    assert code == EXIT_DATA
+    assert err.startswith("data error:") and len(err.splitlines()) == 1
 
 
 class TestSelfCheck:

@@ -583,10 +583,3 @@ class TestAggregation:
         report = evaluate_pairs([(s, np.zeros((6, 6)), "empty"), (s, np.ones((6, 6)), "full")])
         assert report.skipped_fpr == ["empty"]
         assert math.isfinite(report.f_beta_max)
-
-    def test_threaded_equals_serial(self, rng):
-        pairs = [(*random_pair(rng, 8, 8), f"i{i}") for i in range(6)]
-        serial = evaluate_pairs(pairs, threads=1)
-        threaded = evaluate_pairs(pairs, threads=4)
-        assert [m.mae for m in serial.per_image] == [m.mae for m in threaded.per_image]
-        assert np.array_equal(serial.pr, threaded.pr)
