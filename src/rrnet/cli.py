@@ -14,11 +14,9 @@ import time
 from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dataio
-from .checks import run_self_check
 from .dataio import CheckpointError, DataFormatError
+from .init import ZeroDraws
 from .metrics import evaluate_pairs, pr_curve_csv, report_to_json
 from .network import NetworkConfig, from_mapping, init_network_params, parse_kv_text, predict
 from .tensor import NumericalError, Tensor, no_grad
@@ -113,10 +111,12 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--pma-branch", choices=("both", "left", "right"))
 
-    p = sub.add_parser("infer", help="run a checkpoint on one image")
+    p = sub.add_parser("infer", help="run a checkpoint on one image, or on each image in a directory")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--input", required=True, help="PPM image")
-    p.add_argument("--output", required=True, help="PGM saliency map")
+    p.add_argument("--input", help="PPM image (with --output)")
+    p.add_argument("--output", help="PGM saliency map")
+    p.add_argument("--input-dir", help="directory of PPM images (with --output-dir)")
+    p.add_argument("--output-dir", help="directory for one <stem>.pgm map per image")
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--pred", required=True, help="directory of predicted PGM maps")
@@ -185,9 +185,18 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _files(directory, suffix: str, flag: str) -> list[Path]:
+    """The sorted *suffix files of the directory a flag names."""
+    d = Path(directory)
+    if not d.is_dir():
+        raise DataFormatError(f"{flag} {d} is not a directory")
+    return sorted(d.glob(f"*{suffix}"))
+
+
 def _params_from_checkpoint(path):
     entries, cfg = dataio.load_checkpoint(path)
-    params = init_network_params(cfg, seed=0)
+    # the initializer's own constructors give the tree; every value is the checkpoint's
+    params = init_network_params(cfg, seed=ZeroDraws())
     named = dict(params.named_parameters())
     if set(named) != set(entries):
         missing = sorted(set(named) - set(entries))[:4]
@@ -201,36 +210,49 @@ def _params_from_checkpoint(path):
             raise CheckpointError(
                 f"entry '{name}' has shape {values.shape}, expected {named[name].data.shape}"
             )
-        named[name].data = values.astype(np.float32)
+        named[name].data = values
     return params, cfg
 
 
+def _infer_jobs(args) -> list[tuple[Path, Path]]:
+    """(image, map) paths: the --input/--output pair, or DIR/<stem>.ppm to
+    OUT/<stem>.pgm for each image of --input-dir in sorted order."""
+    single, many = (args.input, args.output), (args.input_dir, args.output_dir)
+    if all(single) and not any(many):
+        return [(Path(args.input), Path(args.output))]
+    if all(many) and not any(single):
+        images = _files(args.input_dir, ".ppm", "--input-dir")
+        if not images:
+            raise DataFormatError(f"no .ppm images in {args.input_dir}")
+        return [(img, Path(args.output_dir) / f"{img.stem}.pgm") for img in images]
+    raise _UsageError("give --input with --output, or --input-dir with --output-dir")
+
+
 def _cmd_infer(args) -> int:
+    jobs = _infer_jobs(args)
     params, cfg = _params_from_checkpoint(args.checkpoint)
-    image = dataio.read_ppm(args.input)
-    orig_hw = image.shape[:2]
-    resized = dataio.resize_bilinear(image, cfg.input_size)
-    start = time.perf_counter()
-    with no_grad():
-        pred = predict(Tensor(resized), params, cfg)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    saliency = dataio.resize_bilinear(pred.map.data, orig_hw)
-    dataio.write_pgm(args.output, saliency)
-    _say(f"wrote {args.output} ({elapsed_ms:.1f} ms/image)")
+    if args.output_dir:
+        Path(args.output_dir).mkdir(parents=True, exist_ok=True)
+    for src, dst in jobs:
+        image = dataio.read_ppm(src)
+        resized = dataio.resize_bilinear(image, cfg.input_size)
+        start = time.perf_counter()
+        with no_grad():
+            pred = predict(Tensor(resized), params, cfg)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        dataio.write_pgm(dst, dataio.resize_bilinear(pred.map.data, image.shape[:2]))
+        _say(f"wrote {dst} ({elapsed_ms:.1f} ms/image)")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
-    pred_dir, gt_dir = Path(args.pred), Path(args.gt)
-    preds = {p.stem: p for p in sorted(pred_dir.glob("*.pgm"))}
-    gts = {p.stem: p for p in sorted(gt_dir.glob("*.pgm"))}
+    preds = {p.stem: p for p in _files(args.pred, ".pgm", "--pred")}
+    gts = {p.stem: p for p in _files(args.gt, ".pgm", "--gt")}
     unpaired = sorted(set(preds) ^ set(gts))
     if unpaired:
-        print(f"error: unpaired files: {', '.join(unpaired)}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataFormatError(f"unpaired files: {', '.join(unpaired)}")
     if not preds:
-        print("error: no .pgm files to evaluate", file=sys.stderr)
-        return EXIT_DATA
+        raise DataFormatError(f"no .pgm files to evaluate in {args.pred} or {args.gt}")
 
     def pairs():  # read and checked one at a time, as evaluate_pairs draws them
         for k in sorted(preds):
@@ -254,6 +276,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_self_check(args) -> int:
+    from .checks import run_self_check  # only self-check pays for importing the check battery
+
     if args.trials < 1:
         raise _UsageError(f"--trials must be at least 1, got {args.trials}")
     results = run_self_check(trials=args.trials, seed=args.seed)

@@ -38,7 +38,6 @@ __all__ = [
     "synth_dataset",
     "save_checkpoint",
     "load_checkpoint",
-    "read_manifest",
     "write_manifest",
     "load_manifest_samples",
 ]
@@ -499,7 +498,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
         values = np.frombuffer(payload, dtype="<f4").reshape(shape)
         if not np.isfinite(values).all():
             raise CheckpointError(f"entry '{name}' in {path} holds NaN or infinite values")
-        entries[name] = values.copy()
+        entries[name] = values.astype(np.float32)  # the one copy, in native byte order
     return entries, cfg
 
 
@@ -511,8 +510,12 @@ def write_manifest(path, pairs: list[tuple[str, str]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _manifest_entries(path):
-    """(line number, image, mask) for every non-blank manifest line."""
+def load_manifest_samples(path) -> list[Sample]:
+    """Read every image<TAB>mask line, blank lines skipped; relative paths are
+    taken from the manifest's directory. A malformed line, or an image and
+    mask of different sizes, is a data error that names its line."""
+    base = Path(path).parent
+    samples = []
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -522,19 +525,7 @@ def _manifest_entries(path):
             raise DataFormatError(
                 f"manifest line {ln} must be 'image<TAB>mask', got {raw!r}", path
             )
-        yield ln, parts[0], parts[1]
-
-
-def read_manifest(path) -> list[tuple[str, str]]:
-    return [(img, msk) for _, img, msk in _manifest_entries(path)]
-
-
-def load_manifest_samples(path) -> list[Sample]:
-    """Read every manifest pair; relative paths are taken from the manifest's
-    directory. An image and mask of different sizes are a data error."""
-    base = Path(path).parent
-    samples = []
-    for ln, img_path, mask_path in _manifest_entries(path):
+        img_path, mask_path = parts
         image, mask = read_ppm(base / img_path), read_mask(base / mask_path)
         if mask.shape != image.shape[:2]:
             raise DataFormatError(

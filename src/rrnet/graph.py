@@ -85,7 +85,8 @@ def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
     """
     sums = matrix.sum(axis=1)
     order = np.argsort(sums, kind="stable")
-    if np.unique(sums).size == sums.size:
+    s = sums[order]
+    if (s[1:] > s[:-1]).all():  # distinct sums; a NaN or a tie takes the lexsort
         return order
     cols = tuple(matrix[:, j] for j in reversed(range(matrix.shape[1])))
     return np.lexsort(cols)

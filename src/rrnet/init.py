@@ -6,12 +6,24 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_uniform", "constant_init", "as_rng"]
+__all__ = ["xavier_uniform", "constant_init", "as_rng", "ZeroDraws"]
+
+
+class ZeroDraws:
+    """Stands in for a Generator whose every draw is zero. Constructors given
+    one build a parameter tree's names and shapes without drawing a value,
+    for a caller that overwrites every value, such as a checkpoint load."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.zeros(size)
 
 
 def as_rng(seed) -> np.random.Generator:
-    """Accept either an int seed or an existing Generator."""
-    if isinstance(seed, np.random.Generator):
+    """Accept an int seed, or an existing Generator or ZeroDraws as is.
+
+    numpy.random is imported only when a seed must become a Generator."""
+    if hasattr(seed, "uniform"):
         return seed
     return np.random.default_rng(seed)
 

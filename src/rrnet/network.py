@@ -327,9 +327,8 @@ def _check_label(s: Tensor, label: np.ndarray) -> np.ndarray:
     label = np.asarray(label)
     if label.shape != s.shape:
         raise ValueError(f"saliency map {s.shape} and label {label.shape} differ in shape")
-    values = np.unique(label)
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise ValueError(f"label must be binary 0/1, found values {values[:8]}")
+    if not ((label == 0.0) | (label == 1.0)).all():
+        raise ValueError(f"label must be binary 0/1, found values {np.unique(label)[:8]}")
     return label.astype(s.dtype)
 
 

@@ -1,23 +1,27 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import importlib.util
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rrnet
-from rrnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from rrnet.dataio import load_checkpoint, read_pgm, save_checkpoint, write_pgm
+from rrnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _params_from_checkpoint, main
+from rrnet.dataio import load_checkpoint, read_pgm, save_checkpoint, write_pgm, write_ppm
 from rrnet.network import NetworkConfig, init_network_params
 
+ROOT = Path(__file__).resolve().parents[1]
 TINY_NET = ["--stage-channels", "2,2,3,3,3", "--decoder-width", "4"]
+TINY_CFG = NetworkConfig(stage_channels=(2, 2, 3, 3, 3), decoder_width=4, input_size=(32, 32))
 
 
 def run(capsys, *argv):
@@ -376,6 +380,111 @@ class TestInfer:
         assert code == EXIT_DATA
         assert "truncated" in err
 
+    @pytest.mark.parametrize(
+        "cfg", [TINY_CFG, replace(TINY_CFG, use_srr=False, use_crr=False, use_nonlocal=True)], ids=["rr", "nonlocal"]
+    )
+    def test_params_from_checkpoint_equal_initialization_then_overwrite(self, tmp_path, cfg):
+        saved = init_network_params(cfg, seed=5)
+        save_checkpoint(saved, cfg, tmp_path / "m.ck")
+        params, loaded_cfg = _params_from_checkpoint(tmp_path / "m.ck")
+        expected = init_network_params(cfg, seed=0)
+        for (_, t), (_, v) in zip(expected.named_parameters(), saved.named_parameters()):
+            t.data = v.data
+
+        def tree(p):
+            return [(n, t.data.dtype, t.shape, t.requires_grad, t.data.tobytes()) for n, t in p.named_parameters()]
+
+        assert loaded_cfg == cfg
+        assert type(params) is type(expected) and tree(params) == tree(expected)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda named: named[:-1], r"do not match the configured architecture \(missing \['head.c2.b'\], unexpected \[\]\)"),
+            (lambda named: named + [("extra.w", np.zeros(2))], r"\(missing \[\], unexpected \['extra.w'\]\)"),
+            (lambda named: named[:-1] + [("head.c2.b", np.zeros(2))], r"entry 'head.c2.b' has shape \(2,\), expected \(1,\)"),
+        ],
+        ids=["missing", "unexpected", "shape"],
+    )
+    def test_checkpoint_that_does_not_fit_the_architecture_is_data_error(self, tmp_path, capsys, edit, message):
+        named = [(n, t.data) for n, t in init_network_params(TINY_CFG, seed=0).named_parameters()]
+        save_checkpoint(edit(named), TINY_CFG, tmp_path / "m.ck")
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(tmp_path / "m.ck"),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and len(err.splitlines()) == 1
+        assert re.search(message, err)
+
+    def test_directory_maps_equal_single_image_runs(self, trained, capsys, rng):
+        tmp_path, ck = trained
+        images = tmp_path / "d" / "images"
+        write_ppm(images / "a_odd_size.ppm", rng.uniform(size=(40, 56, 3)))
+        maps = tmp_path / "maps"
+        code, out, _ = run(capsys, "infer", "--checkpoint", str(ck), "--input-dir", str(images), "--output-dir", str(maps))
+        assert code == EXIT_OK
+        stems = sorted(p.stem for p in images.glob("*.ppm"))
+        assert len(stems) == 3
+        assert [line.split()[1] for line in out.splitlines()] == [str(maps / f"{n}.pgm") for n in stems]
+        assert sorted(p.name for p in maps.iterdir()) == [f"{n}.pgm" for n in stems]
+        for n in stems:
+            single = tmp_path / f"{n}.single.pgm"
+            run(capsys, "infer", "--checkpoint", str(ck), "--input", str(images / f"{n}.ppm"), "--output", str(single))
+            assert (maps / f"{n}.pgm").read_bytes() == single.read_bytes()
+        assert read_pgm(maps / "a_odd_size.pgm").shape == (40, 56)
+
+    @pytest.mark.parametrize("layout", ["empty", "only_pgm", "missing", "a_file"])
+    def test_input_dir_without_images_is_data_error_naming_it(self, trained, capsys, layout):
+        tmp_path, ck = trained
+        src = tmp_path / "src"
+        if layout in ("empty", "only_pgm"):
+            src.mkdir()
+        if layout == "only_pgm":
+            write_pgm(src / "m.pgm", np.zeros((4, 4)))
+        if layout == "a_file":
+            src.write_text("")
+        code, out, err = run(capsys, "infer", "--checkpoint", str(ck), "--input-dir", str(src), "--output-dir", str(tmp_path / "o"))
+        assert code == EXIT_DATA and out == ""
+        assert err.startswith("data error: ") and str(src) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--input"],
+            ["--output"],
+            ["--input-dir"],
+            ["--input", "--output-dir"],
+            ["--input", "--output", "--input-dir"],
+            ["--input-dir", "--output-dir", "--output"],
+            ["--input", "--output", "--input-dir", "--output-dir"],
+        ],
+        ids=lambda flags: "+".join(f.strip("-") for f in flags) or "none",
+    )
+    def test_infer_needs_exactly_one_pair_of_paths(self, trained, capsys, flags):
+        tmp_path, ck = trained
+        paths = {
+            "--input": next((tmp_path / "d" / "images").glob("*.ppm")),
+            "--output": tmp_path / "o.pgm",
+            "--input-dir": tmp_path / "d" / "images",
+            "--output-dir": tmp_path / "maps",
+        }
+        code, out, err = run(capsys, "infer", "--checkpoint", str(ck), *(str(a) for f in flags for a in (f, paths[f])))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+        assert not paths["--output"].exists() and not paths["--output-dir"].exists()
+
+    def test_corrupt_image_in_directory_is_data_error_naming_it(self, trained, capsys):
+        tmp_path, ck = trained
+        images = tmp_path / "d" / "images"
+        bad = images / "zz_bad.ppm"
+        bad.write_bytes(b"P6\n8 8\n255\n" + bytes(10))  # truncated
+        code, _, err = run(capsys, "infer", "--checkpoint", str(ck), "--input-dir", str(images), "--output-dir", str(tmp_path / "maps"))
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and str(bad) in err and len(err.splitlines()) == 1
+
 
 class TestEval:
     def _write_pair(self, d1, d2, name, pred, gt):
@@ -456,6 +565,31 @@ class TestEval:
         )
         assert code == EXIT_DATA
         assert "only_pred" in err and "only_gt" in err
+
+    @pytest.mark.parametrize("case", ["pred_missing", "gt_missing", "unpaired", "no_pgm"])
+    def test_bad_directories_are_one_line_data_errors(self, tmp_path, capsys, rng, case):
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        if case != "no_pgm":
+            self._write_pair(pred_d, gt_d, "a", rng.uniform(size=(4, 4)), np.ones((4, 4)))
+        if case == "unpaired":
+            write_pgm(gt_d / "b.pgm", np.ones((4, 4)))
+        pred_arg = tmp_path / "nope" if case == "pred_missing" else pred_d
+        gt_arg = tmp_path / "nope" if case == "gt_missing" else gt_d
+        report = tmp_path / "r.json"
+        code, out, err = run(
+            capsys, "eval", "--pred", str(pred_arg), "--gt", str(gt_arg),
+            "--report", str(report), "--prcurve", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_DATA and out == "" and not report.exists()
+        assert err.startswith("data error: ") and len(err.splitlines()) == 1
+        expected = {
+            "pred_missing": f"--pred {tmp_path / 'nope'} is not a directory",
+            "gt_missing": f"--gt {tmp_path / 'nope'} is not a directory",
+            "unpaired": "unpaired files: b",
+            "no_pgm": f"no .pgm files to evaluate in {pred_d} or {gt_d}",
+        }[case]
+        assert expected in err
 
     def test_shape_mismatch_is_data_error_naming_sample(self, tmp_path, capsys, rng):
         pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
@@ -551,6 +685,41 @@ def test_directory_in_place_of_a_file_is_data_error(tmp_path, capsys, command, f
     code, _, err = run(capsys, command, *(str(a) for kv in argv.items() for a in kv))
     assert code == EXIT_DATA
     assert err.startswith("data error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command,unused",
+    [("infer", {"numpy.random", "numpy.ma", "rrnet.checks"}), ("train", {"numpy.ma", "rrnet.checks"})],
+)
+def test_process_imports_only_what_its_command_runs(tmp_path, command, unused):
+    """An `rrnet infer` process leaves numpy.random, numpy.ma and the check
+    battery unimported, an `rrnet train` process the last two; both still
+    import every module the benchmark's span tracer wraps."""
+    ck, img = tmp_path / "m.ck", tmp_path / "in.ppm"
+    save_checkpoint(init_network_params(TINY_CFG, seed=0), TINY_CFG, ck)
+    write_ppm(img, np.full((32, 32, 3), 0.5))
+    argv = {
+        "infer": ["infer", "--checkpoint", str(ck), "--input", str(img), "--output", str(tmp_path / "out.pgm")],
+        "train": ["train", "--synthetic", "1", "--iters", "1", "--size", "32", *TINY_NET, "--out", str(ck)],
+    }[command]
+    script = (
+        "import json, sys\n"
+        "from rrnet.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == EXIT_OK
+    modules = set(result["modules"])
+    assert unused.isdisjoint(modules), unused & modules
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    wrapped = {module for module, _, _ in tracer.TARGETS}
+    assert wrapped <= modules and "rrnet.metrics" in wrapped
 
 
 class TestSelfCheck:

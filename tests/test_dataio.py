@@ -15,7 +15,6 @@ from rrnet.dataio import (
     augment7,
     load_checkpoint,
     load_manifest_samples,
-    read_manifest,
     read_mask,
     read_pgm,
     read_ppm,
@@ -348,17 +347,24 @@ class TestCheckpoint:
 
 
 class TestManifest:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "manifest.txt"
+    def test_round_trip(self, tmp_path, rng):
+        (tmp_path / "images").mkdir(), (tmp_path / "masks").mkdir()
         pairs = [("images/a.ppm", "masks/a.pgm"), ("images/b.ppm", "masks/b.pgm")]
-        write_manifest(path, pairs)
-        assert read_manifest(path) == pairs
+        for img, msk in pairs:
+            write_ppm(tmp_path / img, rng.uniform(size=(8, 8, 3)))
+            write_pgm(tmp_path / msk, (rng.uniform(size=(8, 8)) < 0.5).astype(np.float64))
+        write_manifest(tmp_path / "manifest.txt", pairs)
+        samples = load_manifest_samples(tmp_path / "manifest.txt")
+        assert [s.id for s in samples] == ["a", "b"]
+        for s, (img, msk) in zip(samples, pairs):
+            assert np.array_equal(s.image, read_ppm(tmp_path / img))
+            assert np.array_equal(s.mask, read_mask(tmp_path / msk))
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "manifest.txt"
-        path.write_text("only_one_field\n")
-        with pytest.raises(DataFormatError, match="image<TAB>mask"):
-            read_manifest(path)
+        path.write_text("\nonly_one_field\n")
+        with pytest.raises(DataFormatError, match="manifest line 2 must be 'image<TAB>mask'"):
+            load_manifest_samples(path)
 
     def test_pair_of_different_sizes_names_its_line(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((8, 8, 3)))

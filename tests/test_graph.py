@@ -257,6 +257,37 @@ class TestCanonicalOrder:
         # sums tie everywhere; lexicographic puts the duplicate [1,2] rows first
         assert np.array_equal(np.sort(order[:2]), [0, 2])
 
+    @staticmethod
+    def unique_rule(m):
+        """The rule as first written: argsort the row sums when np.unique finds
+        them all distinct, else lexsort the rows."""
+        sums = m.sum(axis=1)
+        if np.unique(sums).size == sums.size:
+            return np.argsort(sums, kind="stable")
+        return np.lexsort(tuple(m[:, j] for j in reversed(range(m.shape[1]))))
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.array([[3.0, 1.0], [0.5, 0.0], [2.0, 2.0]]),  # distinct sums
+            np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0], [0.0, 0.0]]),  # tied rows
+            np.array([[-0.0, -0.0], [0.0, 0.0], [1.0, 0.0]]),  # a -0.0/0.0 tie
+            np.array([[0.0, 0.0], [-0.0, 0.0], [-1.0, 0.0]], dtype=np.float32),
+        ],
+        ids=["distinct", "tied", "signed_zero", "signed_zero_f32"],
+    )
+    def test_matches_the_unique_rule(self, m):
+        assert np.array_equal(canonical_vertex_order(m), self.unique_rule(m))
+
+    def test_matches_the_unique_rule_on_random_matrices(self, rng):
+        for i in range(200):
+            n, c = rng.integers(1, 12, size=2)
+            if i % 2:  # small integers: tied sums are common
+                m = rng.integers(-2, 3, size=(n, c)).astype(np.float64)
+            else:
+                m = rng.standard_normal((n, c)).astype(np.float32)
+            assert np.array_equal(canonical_vertex_order(m), self.unique_rule(m)), m
+
     def test_gradients_flow_through_reasoning(self, rng):
         from rrnet.checks import gradcheck
         from rrnet.tensor import tensor_sum

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -308,6 +309,17 @@ class TestLoss:
         s = Tensor(rng.uniform(size=(3, 3)), dtype=np.float64)
         with pytest.raises(ValueError, match="binary"):
             balanced_bce_loss(s, np.full((3, 3), 0.5))
+
+    def test_non_binary_label_message_lists_its_values(self, rng):
+        s = Tensor(rng.uniform(size=(2, 3)), dtype=np.float64)
+        label = np.array([[1.0, 0.0, 0.5], [np.nan, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=re.escape(f"label must be binary 0/1, found values {np.unique(label)}")):
+            balanced_bce_loss(s, label)
+
+    def test_negative_zero_and_boolean_labels_accepted(self, rng):
+        s = Tensor(rng.uniform(size=(2, 2)), dtype=np.float64)
+        label = np.array([[1.0, -0.0], [0.0, 1.0]])
+        assert balanced_bce_loss(s, label).item() == balanced_bce_loss(s, label.astype(bool)).item()
 
     def test_shape_mismatch_rejected(self, rng):
         s = Tensor(rng.uniform(size=(3, 3)), dtype=np.float64)
