@@ -18,7 +18,15 @@ from . import dataio
 from .dataio import CheckpointError, DataFormatError
 from .init import ZeroDraws
 from .metrics import evaluate_pairs, pr_curve_csv, report_to_json
-from .network import NetworkConfig, from_mapping, init_network_params, parse_kv_text, predict
+from .network import (
+    PMA_CHOICES,
+    REASONING_CHOICES,
+    NetworkConfig,
+    from_mapping,
+    init_network_params,
+    parse_kv_text,
+    predict,
+)
 from .tensor import NumericalError, Tensor, no_grad
 from .training import TrainSettings, train_model
 
@@ -103,13 +111,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--decoder-width", type=int)
     p.add_argument("--stage-channels", type=_int_list, help="comma list of 5 stage widths")
     p.add_argument("--no-augment", dest="augment", action="store_false", default=None)
-    p.add_argument("--no-pma", dest="use_pma", action="store_false", default=None)
-    p.add_argument("--no-srr", dest="use_srr", action="store_false", default=None)
-    p.add_argument("--no-crr", dest="use_crr", action="store_false", default=None)
+    p.add_argument("--pma", choices=PMA_CHOICES, help="PMA branches that gate the decoder (default both)")
     p.add_argument(
-        "--nonlocal", dest="use_nonlocal", action="store_true", default=None, help="replace RR with non-local blocks"
+        "--reasoning", choices=REASONING_CHOICES, help="what runs after stages 3-5 (default srr+crr)"
     )
-    p.add_argument("--pma-branch", choices=("both", "left", "right"))
 
     p = sub.add_parser("infer", help="run a checkpoint on one image, or on each image in a directory")
     p.add_argument("--checkpoint", required=True)
@@ -162,8 +167,6 @@ def _cmd_train(args) -> int:
         unknown = set(file_kv) - _NET_KEYS - _TRAIN_KEYS
         if unknown:
             raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    if args.use_nonlocal:
-        args.use_srr = args.use_crr = False
     if args.input_size is None and "input_size" not in file_kv:
         args.input_size = (64, 64)  # toy training default
     net_kv = {k: v for k, v in file_kv.items() if k in _NET_KEYS}

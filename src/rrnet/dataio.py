@@ -43,7 +43,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"RRNETCK1"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class DataFormatError(ValueError):
@@ -71,17 +71,6 @@ class Sample:
     image: np.ndarray  # H x W x 3 float32
     mask: np.ndarray  # H x W float32 in {0, 1}
     id: str = ""
-
-    def validate(self) -> "Sample":
-        if self.image.ndim != 3 or self.image.shape[2] != 3:
-            raise ValueError(f"sample image must be HxWx3, got {self.image.shape}")
-        if self.mask.shape != self.image.shape[:2]:
-            raise ValueError(
-                f"mask {self.mask.shape} does not match image {self.image.shape[:2]}"
-            )
-        if not np.isin(np.unique(self.mask), (0.0, 1.0)).all():
-            raise ValueError("mask must be strictly binary 0/1")
-        return self
 
 
 # -- netpbm ---------------------------------------------------------------------

@@ -27,6 +27,8 @@ from .tensor import (
 
 __all__ = [
     "NetworkConfig",
+    "PMA_CHOICES",
+    "REASONING_CHOICES",
     "NetworkParams",
     "SaliencyPrediction",
     "init_network_params",
@@ -44,17 +46,19 @@ PROB_EPS = 1e-7
 HIGH_STAGES = (3, 4, 5)
 LOW_STAGES = (1, 2)
 
+# the ablation grid: which PMA branches gate the decoder, and what runs after
+# each high-level stage ("+" joins modules run in turn)
+PMA_CHOICES = ("both", "left", "right", "none")
+REASONING_CHOICES = ("srr+crr", "srr", "crr", "none", "nonlocal")
+
 
 @dataclass
 class NetworkConfig:
     stage_channels: tuple[int, ...] = (16, 32, 64, 64, 64)
     decoder_width: int = 24
     input_size: tuple[int, int] = (224, 224)
-    use_pma: bool = True
-    use_srr: bool = True
-    use_crr: bool = True
-    use_nonlocal: bool = False
-    pma_branch: str = "both"
+    pma: str = "both"
+    reasoning: str = "srr+crr"
 
     def __post_init__(self):
         self.stage_channels = tuple(int(c) for c in self.stage_channels)
@@ -69,10 +73,10 @@ class NetworkConfig:
             raise ValueError(f"input_size needs 2 entries, got {self.input_size}")
         if any(n < 32 or n % 32 for n in self.input_size):
             raise ValueError(f"input_size must be positive and divisible by 32, got {self.input_size}")
-        if self.use_nonlocal and (self.use_srr or self.use_crr):
-            raise ValueError("use_nonlocal excludes use_srr/use_crr")
-        if self.pma_branch not in ("both", "left", "right"):
-            raise ValueError(f"pma_branch must be both|left|right, got '{self.pma_branch}'")
+        if self.pma not in PMA_CHOICES:
+            raise ValueError(f"pma must be {'|'.join(PMA_CHOICES)}, got '{self.pma}'")
+        if self.reasoning not in REASONING_CHOICES:
+            raise ValueError(f"reasoning must be {'|'.join(REASONING_CHOICES)}, got '{self.reasoning}'")
 
     def stage_spatial(self, s: int) -> tuple[int, int]:
         """Spatial size of stage s output (stride 2**s relative to the input)."""
@@ -153,19 +157,10 @@ class SaliencyPrediction:
 
 
 @dataclass
-class StageParams:
-    convs: list[ConvParams]
-
-    def named_parameters(self, prefix: str = ""):
-        for i, c in enumerate(self.convs):
-            yield from c.named_parameters(f"{prefix}c{i}.")
-
-
-@dataclass
 class NetworkParams:
     """All trainable tensors, iterable in a fixed order by name."""
 
-    stages: list[StageParams] = field(default_factory=list)
+    stages: list[list[ConvParams]] = field(default_factory=list)
     rr_spatial: dict[int, G.ReasoningParams] = field(default_factory=dict)
     rr_channel: dict[int, G.ReasoningParams] = field(default_factory=dict)
     pma: dict[int, A.PmaParams] = field(default_factory=dict)
@@ -175,7 +170,8 @@ class NetworkParams:
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for s, stage in enumerate(self.stages, start=1):
-            yield from stage.named_parameters(f"backbone.s{s}.")
+            for i, c in enumerate(stage):
+                yield from c.named_parameters(f"backbone.s{s}.c{i}.")
         for s in sorted(self.rr_spatial):
             yield from self.rr_spatial[s].named_parameters(f"rr.s{s}.spatial.")
         for s in sorted(self.rr_channel):
@@ -193,23 +189,22 @@ class NetworkParams:
 def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkParams:
     """Create every parameter tensor the architecture can use.
 
-    Reasoning and attention parameters are created regardless of the ablation
-    toggles so that all ablation variants share an identical backbone
-    initialization for a given seed; disabled modules simply stay unused.
-    Non-local parameters are appended last and only when enabled.
+    Reasoning and attention parameters are created whatever the pma and
+    reasoning settings, so that all ablation variants share an identical
+    backbone initialization for a given seed; unused modules simply stay
+    unused. Non-local parameters are appended last, only with reasoning
+    "nonlocal".
     """
     rng = as_rng(seed)
     params = NetworkParams()
     cin = 3
     for s, cout in enumerate(cfg.stage_channels, start=1):
         params.stages.append(
-            StageParams(
-                convs=[
-                    init_conv_params(rng, 3, cin, cout, dtype),
-                    init_conv_params(rng, 3, cout, cout, dtype),
-                    init_conv_params(rng, 3, cout, cout, dtype),
-                ]
-            )
+            [
+                init_conv_params(rng, 3, cin, cout, dtype),
+                init_conv_params(rng, 3, cout, cout, dtype),
+                init_conv_params(rng, 3, cout, cout, dtype),
+            ]
         )
         cin = cout
     for s in HIGH_STAGES:
@@ -228,16 +223,16 @@ def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkPa
         init_conv_params(rng, 3, width, width, dtype),
         init_conv_params(rng, 1, width, 1, dtype),
     ]
-    if cfg.use_nonlocal:
+    if cfg.reasoning == "nonlocal":
         for s in HIGH_STAGES:
             params.nonlocal_[s] = G.init_nonlocal_params(cfg.stage_channels[s - 1], rng, dtype)
     return params
 
 
-def _stage_forward(x: Tensor, stage: StageParams) -> Tensor:
-    h = relu(conv2d(x, stage.convs[0].w, stage.convs[0].b, stride=2))
-    h = relu(conv2d(h, stage.convs[1].w, stage.convs[1].b))
-    h = relu(conv2d(h, stage.convs[2].w, stage.convs[2].b))
+def _stage_forward(x: Tensor, stage: list[ConvParams]) -> Tensor:
+    h = relu(conv2d(x, stage[0].w, stage[0].b, stride=2))
+    h = relu(conv2d(h, stage[1].w, stage[1].b))
+    h = relu(conv2d(h, stage[2].w, stage[2].b))
     return h
 
 
@@ -255,22 +250,22 @@ def encode(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> list[Ten
     """Backbone with relational reasoning after each high-level stage.
 
     The reasoning output replaces the stage features and feeds the next
-    stage. Returns [X1, X2, F3, F4, F5]; stage s has stride 2**s. With the
-    SRR, CRR and non-local toggles off this is the plain feature pyramid.
+    stage. Returns [X1, X2, F3, F4, F5]; stage s has stride 2**s. With
+    reasoning "none" this is the plain feature pyramid.
     """
     _check_image(image)
+    modules = cfg.reasoning.split("+")
     feats = []
     h = image
     for s, stage in enumerate(params.stages, start=1):
         h = _stage_forward(h, stage)
         if s in HIGH_STAGES:
-            if cfg.use_nonlocal:
+            if "nonlocal" in modules:
                 h = G.non_local_block(h, params.nonlocal_[s])
-            else:
-                if cfg.use_srr:
-                    h = G.srr(h, params.rr_spatial[s])
-                if cfg.use_crr:
-                    h = G.crr(h, params.rr_channel[s])
+            if "srr" in modules:
+                h = G.srr(h, params.rr_spatial[s])
+            if "crr" in modules:
+                h = G.crr(h, params.rr_channel[s])
         feats.append(h)
     return feats
 
@@ -307,8 +302,8 @@ def predict(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> Salienc
     for s in (5, 4, 3, 2):
         f_e = feats[s - 2]
         a_f = None
-        if s in (2, 3) and cfg.use_pma:
-            a_f = A.pma(f_e, params.pma[s - 1], branch=cfg.pma_branch)
+        if s in (2, 3) and cfg.pma != "none":
+            a_f = A.pma(f_e, params.pma[s - 1], branch=cfg.pma)
         f_d = decode_fuse(f_d, f_e, a_f, params.decoder[s])
     # the first head conv runs at stage-1 resolution; the remaining two run
     # after the 2x upsample so the map is refined at input resolution
@@ -332,13 +327,17 @@ def _check_label(s: Tensor, label: np.ndarray) -> np.ndarray:
     return label.astype(s.dtype)
 
 
-def bce_loss(s: Tensor, label: np.ndarray) -> Tensor:
-    """Unweighted binary cross-entropy, mean over pixels."""
-    lab = _check_label(s, label)
+def _weighted_bce(s: Tensor, lab: np.ndarray, p: float, q: float) -> Tensor:
+    """Mean over pixels of -(p * l * log(s) + q * (1 - l) * log(1 - s))."""
     sc = clip(s, PROB_EPS, 1.0 - PROB_EPS)
     l_t = Tensor(lab)
-    term = l_t * log(sc) + (1.0 - l_t) * log(1.0 - sc)
+    term = (l_t * log(sc)) * p + ((1.0 - l_t) * log(1.0 - sc)) * q
     return mean(term) * -1.0
+
+
+def bce_loss(s: Tensor, label: np.ndarray) -> Tensor:
+    """Unweighted binary cross-entropy, mean over pixels."""
+    return _weighted_bce(s, _check_label(s, label), 1.0, 1.0)
 
 
 def balanced_bce_loss(s: Tensor, label: np.ndarray) -> Tensor:
@@ -353,10 +352,5 @@ def balanced_bce_loss(s: Tensor, label: np.ndarray) -> Tensor:
     b = lab.size
     b_m = float(lab.sum())
     if b_m == 0:
-        return bce_loss(s, label)
-    p = (b - b_m) / b
-    q = b_m / b
-    sc = clip(s, PROB_EPS, 1.0 - PROB_EPS)
-    l_t = Tensor(lab)
-    term = (l_t * log(sc)) * p + ((1.0 - l_t) * log(1.0 - sc)) * q
-    return mean(term) * -1.0
+        return _weighted_bce(s, lab, 1.0, 1.0)
+    return _weighted_bce(s, lab, (b - b_m) / b, b_m / b)

@@ -40,7 +40,6 @@ class TrainSettings:
 @dataclass
 class TrainResult:
     params: NetworkParams
-    config: NetworkConfig
     log: list[tuple[int, float, float]] = field(default_factory=list)  # (iter, loss, lr)
 
 
@@ -85,7 +84,7 @@ def train_model(
         pool.extend(resize_sample(v, cfg.input_size) for v in variants)
 
     params = init_network_params(cfg, np.random.default_rng(seed_params))
-    result = TrainResult(params=params, config=cfg)
+    result = TrainResult(params=params)
     iters = settings.iterations
     if iters <= 0:
         return result

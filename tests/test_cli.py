@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -15,9 +16,18 @@ import numpy as np
 import pytest
 
 import rrnet
-from rrnet.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _params_from_checkpoint, main
+from rrnet.cli import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    EXIT_USAGE,
+    _build_parser,
+    _params_from_checkpoint,
+    _UsageError,
+    main,
+)
 from rrnet.dataio import load_checkpoint, read_pgm, save_checkpoint, write_pgm, write_ppm
-from rrnet.network import NetworkConfig, init_network_params
+from rrnet.network import PMA_CHOICES, REASONING_CHOICES, NetworkConfig, init_network_params
 
 ROOT = Path(__file__).resolve().parents[1]
 TINY_NET = ["--stage-channels", "2,2,3,3,3", "--decoder-width", "4"]
@@ -244,12 +254,40 @@ class TestTrain:
         ck = tmp_path / "m.ck"
         code, _, _ = run(
             capsys, "train", "--synthetic", "1", "--iters", "0", "--out", str(ck),
-            "--no-pma", "--no-srr", "--no-crr", *TINY_NET,
+            "--pma", "none", "--reasoning", "none", *TINY_NET,
         )
         assert code == EXIT_OK
         _, cfg = load_checkpoint(ck)
-        assert not (cfg.use_pma or cfg.use_srr or cfg.use_crr)
+        assert (cfg.pma, cfg.reasoning) == ("none", "none")
         assert cfg.input_size == (64, 64)  # neither --size nor a config file sets it
+
+    @pytest.mark.parametrize(
+        "key,value", [("pma", v) for v in PMA_CHOICES] + [("reasoning", v) for v in REASONING_CHOICES]
+    )
+    def test_ablation_config_key_and_flag_give_the_same_checkpoint(self, tmp_path, capsys, key, value):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key}={value}\n")
+        args = ["train", "--synthetic", "1", "--iters", "0", "--size", "32", *TINY_NET]
+        by_file, by_flag = tmp_path / "file.ck", tmp_path / "flag.ck"
+        code_file, _, _ = run(capsys, *args, "--config", str(cfgfile), "--out", str(by_file))
+        code_flag, _, _ = run(capsys, *args, f"--{key}", value, "--out", str(by_flag))
+        assert code_file == code_flag == EXIT_OK
+        assert getattr(load_checkpoint(by_flag)[1], key) == value
+        assert by_file.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("key", ["pma", "reasoning"])
+    def test_unknown_ablation_value_is_usage_error(self, tmp_path, capsys, key):
+        code, _, err = run(
+            capsys, "train", "--synthetic", "1", "--iters", "0", "--out", str(tmp_path / "m.ck"),
+            *TINY_NET, f"--{key}", "diagonal",
+        )
+        assert code == EXIT_USAGE
+        assert f"--{key}" in err and "'diagonal'" in err and len(err.splitlines()) == 1
+        code, _, err = train_with_config(tmp_path, capsys, f"{key}=diagonal\n")
+        assert code == EXIT_USAGE
+        assert err.startswith(f"usage error: {key} must be ") and "'diagonal'" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ck").exists()
 
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "train", "--out", str(tmp_path / "m.ck"))
@@ -268,7 +306,7 @@ class TestTrain:
         base = trained_cfg()
         variants = [
             ["--size", "64"], ["--decoder-width", "5"], ["--stage-channels", "2,2,3,3,4"],
-            ["--no-pma"], ["--no-srr"], ["--no-crr"], ["--nonlocal"], ["--pma-branch", "left"],
+            ["--pma", "left"], ["--reasoning", "nonlocal"],
         ]
         reached = set()
         for flags in variants:
@@ -336,6 +374,19 @@ class TestInfer:
         assert err.startswith("data error:") and "'decoder_width'" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("key", ["pma", "reasoning"])
+    def test_checkpoint_config_unknown_ablation_value_is_data_error(self, tmp_path, capsys, key):
+        ck = tmp_path / "model.ck"
+        save_checkpoint([], NetworkConfig(), ck)
+        replace_config_blob(ck, f"{key}=diagonal\n".encode())
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error:") and f"{key} must be " in err
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("size", [b"0,0", b"-32,64"])
     def test_checkpoint_with_non_positive_input_size_is_data_error(self, tmp_path, capsys, size):
         ck = tmp_path / "model.ck"
@@ -352,12 +403,12 @@ class TestInfer:
     def test_checkpoint_of_an_older_version_is_data_error(self, trained, capsys):
         tmp_path, ck = trained
         data = bytearray(ck.read_bytes())
-        struct.pack_into("<I", data, 8, 2)
+        struct.pack_into("<I", data, 8, 3)
         ck.write_bytes(bytes(data))
         img = next((tmp_path / "d" / "images").glob("*.ppm"))
         code, _, err = run(capsys, "infer", "--checkpoint", str(ck), "--input", str(img), "--output", str(tmp_path / "o.pgm"))
         assert code == EXIT_DATA
-        assert err.startswith("data error: checkpoint version 2") and "re-save" in err
+        assert err.startswith("data error: checkpoint version 3") and "re-save" in err
         assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("name,value", [("head.c2.b", np.nan), ("backbone.s1.c0.w", -np.inf)])
@@ -381,7 +432,7 @@ class TestInfer:
         assert "truncated" in err
 
     @pytest.mark.parametrize(
-        "cfg", [TINY_CFG, replace(TINY_CFG, use_srr=False, use_crr=False, use_nonlocal=True)], ids=["rr", "nonlocal"]
+        "cfg", [TINY_CFG, replace(TINY_CFG, reasoning="nonlocal")], ids=["rr", "nonlocal"]
     )
     def test_params_from_checkpoint_equal_initialization_then_overwrite(self, tmp_path, cfg):
         saved = init_network_params(cfg, seed=5)
@@ -744,3 +795,15 @@ class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE
+
+    def test_readme_command_lines_parse(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        lines = [ln for ln in block.splitlines() if ln.startswith("rrnet ")]
+        assert len(lines) >= 8
+        parser = _build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except _UsageError as e:
+                pytest.fail(f"README line '{line}' does not parse: {e}")

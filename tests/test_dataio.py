@@ -183,7 +183,7 @@ class TestResize:
         out = resize_sample(s, (12, 12))
         assert out.image.shape == (12, 12, 3)
         assert out.mask.shape == (12, 12)
-        out.validate()
+        assert ((out.mask == 0.0) | (out.mask == 1.0)).all()
 
 
 class TestSynthDataset:
@@ -199,7 +199,8 @@ class TestSynthDataset:
             for s in synth_dataset(8, seed=seed, size=48):
                 bm = s.mask.sum()
                 assert 1 <= bm <= 0.5 * s.mask.size
-                s.validate()
+                assert s.image.shape == (48, 48, 3) and s.mask.shape == (48, 48)
+                assert ((s.mask == 0.0) | (s.mask == 1.0)).all()
 
     def test_shape_area_matches_analytic_within_perimeter(self, rng):
         for _ in range(60):
@@ -296,7 +297,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize(
         "blob",
-        [b"bogus=1\n", b"decoder_width=wide\n", b"use_pma=\xff\n"],
+        [b"bogus=1\n", b"decoder_width=wide\n", b"pma=\xff\n"],
         ids=["unknown_key", "bad_value", "invalid_utf8"],
     )
     def test_bad_config_blob_is_checkpoint_error(self, tmp_path, blob):

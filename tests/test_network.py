@@ -9,7 +9,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rrnet import attention as A
+from rrnet import graph as G
 from rrnet.network import (
+    PMA_CHOICES,
+    REASONING_CHOICES,
     NetworkConfig,
     balanced_bce_loss,
     bce_loss,
@@ -22,6 +26,15 @@ from rrnet.tensor import Tensor, conv2d, relu
 
 TINY = dict(stage_channels=(3, 4, 6, 6, 6), decoder_width=6, input_size=(64, 64))
 
+# the graph.py functions each reasoning value runs after every stage 3-5, in order
+REASONING_RUNS = {
+    "srr+crr": ["srr", "crr"],
+    "srr": ["srr"],
+    "crr": ["crr"],
+    "none": [],
+    "nonlocal": ["non_local_block"],
+}
+
 
 def tiny_cfg(**kw):
     return NetworkConfig(**{**TINY, **kw})
@@ -33,7 +46,7 @@ def make_image(rng, size=64, dtype=np.float32):
 
 def backbone(image, params, cfg):
     """The plain feature pyramid: encode with relational reasoning off."""
-    return encode(image, params, replace(cfg, use_srr=False, use_crr=False))
+    return encode(image, params, replace(cfg, reasoning="none"))
 
 
 class TestConfig:
@@ -41,13 +54,7 @@ class TestConfig:
         cfg = NetworkConfig()
         assert cfg.stage_channels == (16, 32, 64, 64, 64)
         assert cfg.input_size == (224, 224)
-        assert cfg.use_pma and cfg.use_srr and cfg.use_crr and not cfg.use_nonlocal
-
-    def test_nonlocal_excludes_rr(self):
-        with pytest.raises(ValueError, match="excludes"):
-            NetworkConfig(use_nonlocal=True, use_srr=True)
-        cfg = NetworkConfig(use_nonlocal=True, use_srr=False, use_crr=False)
-        assert cfg.use_nonlocal
+        assert cfg.pma == "both" and cfg.reasoning == "srr+crr"
 
     @pytest.mark.parametrize("width", [0, -3])
     def test_decoder_width_must_be_positive(self, width):
@@ -59,7 +66,7 @@ class TestConfig:
             NetworkConfig(input_size=(100, 100))
 
     def test_text_round_trip(self):
-        cfg = tiny_cfg(use_pma=False, pma_branch="left")
+        cfg = tiny_cfg(pma="left", reasoning="nonlocal")
         back = NetworkConfig.from_text(cfg.to_text())
         assert back == cfg
 
@@ -98,12 +105,12 @@ class TestBackbone:
 
 class TestEncode:
     def test_toggles_off_equals_backbone(self, rng):
-        cfg = tiny_cfg(use_srr=False, use_crr=False)
+        cfg = tiny_cfg(reasoning="none")
         params = init_network_params(cfg, seed=3)
         img = make_image(rng)
         h = img
         for stage, f in zip(params.stages, encode(img, params, cfg)):
-            for i, c in enumerate(stage.convs):
+            for i, c in enumerate(stage):
                 h = relu(conv2d(h, c.w, c.b, stride=2 if i == 0 else 1))
             assert np.array_equal(f.data, h.data)
 
@@ -118,7 +125,7 @@ class TestEncode:
         assert not np.array_equal(enc[2].data, raw[2].data)
 
     def test_nonlocal_variant_runs(self, rng):
-        cfg = tiny_cfg(use_srr=False, use_crr=False, use_nonlocal=True)
+        cfg = tiny_cfg(reasoning="nonlocal")
         params = init_network_params(cfg, seed=3)
         enc = encode(make_image(rng), params, cfg)
         assert [f.shape[:2] for f in enc] == [(32, 32), (16, 16), (8, 8), (4, 4), (2, 2)]
@@ -217,10 +224,35 @@ class TestPredict:
         m2 = predict(img, init_network_params(cfg, seed=9), cfg).map.data
         assert np.array_equal(m1, m2)
 
+    @pytest.mark.parametrize("reasoning", REASONING_CHOICES)
+    @pytest.mark.parametrize("pma", PMA_CHOICES)
+    def test_each_setting_runs_exactly_the_modules_it_names(self, rng, monkeypatch, pma, reasoning):
+        calls = []
+
+        def record(module, name):
+            real = getattr(module, name)
+
+            def wrapper(x, p, **kw):
+                calls.append((name, x.shape[0], kw.get("branch")))
+                return real(x, p, **kw)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("srr", "crr", "non_local_block"):
+            record(G, name)
+        record(A, "pma")
+        cfg = tiny_cfg(pma=pma, reasoning=reasoning)
+        predict(make_image(rng), init_network_params(cfg, seed=0), cfg)
+        # stages 3-5 are 8, 4 and 2 pixels high; the decoder gates stage 2, then stage 1
+        expected = [(name, size, None) for size in (8, 4, 2) for name in REASONING_RUNS[reasoning]]
+        if pma != "none":
+            expected += [("pma", 16, pma), ("pma", 32, pma)]
+        assert calls == expected
+
     def test_pma_toggle_changes_only_attention_path(self, rng):
         img = make_image(rng)
         cfg_on = tiny_cfg()
-        cfg_off = tiny_cfg(use_pma=False)
+        cfg_off = tiny_cfg(pma="none")
         params = init_network_params(cfg_on, seed=2)
         with_att = predict(img, params, cfg_on).map.data
         without = predict(img, params, cfg_off).map.data
@@ -229,7 +261,7 @@ class TestPredict:
     def test_ablation_nesting_zero_grads_for_disabled_modules(self, rng):
         # full parameter set, all module toggles off: only backbone, decoder
         # and head receive gradient
-        cfg_off = tiny_cfg(use_pma=False, use_srr=False, use_crr=False)
+        cfg_off = tiny_cfg(pma="none", reasoning="none")
         params = init_network_params(tiny_cfg(), seed=4)
         img = make_image(rng)
         label = (rng.uniform(size=(64, 64)) < 0.4).astype(np.float32)
