@@ -11,18 +11,19 @@ import numpy as np
 from rrnet.graph import (
     adjacency,
     crr,
-    init_nonlocal_params,
-    init_reasoning_params,
     non_local_block,
+    nonlocal_shapes,
     normalized_laplacian,
+    reasoning_shapes,
     srr,
 )
+from rrnet.init import init_params
 from rrnet.tensor import Tensor, reshape
 
 rng = np.random.default_rng(7)
 
 x = Tensor(rng.standard_normal((4, 4, 6)).astype(np.float32))
-params = init_reasoning_params(feature_dim=6, seed=rng)
+params = init_params(reasoning_shapes(6), rng, np.float32)  # {"proj_w": Tensor, ...}
 
 # -- spatial graph: 16 pixel vertexes, 6 features each ------------------------------
 
@@ -51,16 +52,16 @@ print("pixel-permutation equivariance (exact):", same)
 
 # -- channel graph: 6 vertexes described by their 16-pixel maps ----------------------
 
-cparams = init_reasoning_params(feature_dim=16, seed=rng)
+cparams = init_params(reasoning_shapes(16), rng, np.float32)
 out_c = crr(x, cparams)
 print("crr output shape:", out_c.shape)
 
 # -- the non-local alternative used by the ablation ----------------------------------
 
-nl = init_nonlocal_params(channels=6, seed=rng)
+nl = init_params(nonlocal_shapes(6), rng, np.float32)
 out_nl = non_local_block(x, nl)
 print("non-local output shape:", out_nl.shape)
-nl.g_w.data[:] = 0.0
+nl["g_w"].data[:] = 0.0
 print(
     "zero value-projection reduces non-local to the identity:",
     np.array_equal(non_local_block(x, nl).data, x.data),

@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from rrnet.attention import descriptor, fuse_maps, init_pma_params, left_branch, pma, right_branch
+from rrnet.attention import descriptor, fuse_maps, left_branch, pma, pma_shapes, right_branch
 from rrnet.dataio import synth_dataset, write_pgm, write_ppm
+from rrnet.init import init_params
 from rrnet.tensor import Tensor
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
@@ -22,7 +23,7 @@ write_ppm(out_dir / "input.ppm", sample.image)
 write_pgm(out_dir / "mask.pgm", sample.mask)
 
 x = Tensor(sample.image)
-params = init_pma_params(channels=3, seed=3)
+params = init_params(pma_shapes(3), 3, np.float32)  # {"left.k3.w": Tensor, ...}
 
 d = descriptor(x)
 print("descriptor shape:", d.shape, "(channel average and channel max)")

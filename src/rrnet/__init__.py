@@ -5,7 +5,6 @@ from .tensor import Tensor, NumericalError, no_grad
 from .optim import Adam, LinearSchedule
 from .network import (
     NetworkConfig,
-    NetworkParams,
     SaliencyPrediction,
     balanced_bce_loss,
     bce_loss,
@@ -24,7 +23,6 @@ __all__ = [
     "Adam",
     "LinearSchedule",
     "NetworkConfig",
-    "NetworkParams",
     "SaliencyPrediction",
     "balanced_bce_loss",
     "bce_loss",

@@ -8,79 +8,44 @@ branches average their three scales and a 1x1 fusion conv combines them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .init import as_rng, constant_init, xavier_uniform
 from .tensor import Tensor, channel_pool, concat, conv2d, relu, reshape, sigmoid, tensor_sum
 
 __all__ = [
     "SCALES",
-    "ConvParams",
-    "init_conv_params",
-    "PmaParams",
+    "conv_shapes",
+    "pma_shapes",
     "descriptor",
     "left_branch",
     "right_branch",
     "fuse_maps",
     "pma",
-    "init_pma_params",
 ]
 
 SCALES = (3, 5, 7)
 
 
-@dataclass
-class ConvParams:
-    w: Tensor
-    b: Tensor
-
-    def named_parameters(self, prefix: str = ""):
-        yield prefix + "w", self.w
-        yield prefix + "b", self.b
+def conv_shapes(k: int, cin: int, cout: int, prefix: str = "") -> dict[str, tuple[int, ...]]:
+    """A k x k cin->cout conv: weight prefix+"w" and bias prefix+"b"."""
+    return {prefix + "w": (k, k, cin, cout), prefix + "b": (cout,)}
 
 
-def init_conv_params(rng, k: int, cin: int, cout: int, dtype) -> ConvParams:
-    """A k x k cin->cout conv: Xavier-uniform weights drawn from rng, zero bias."""
-    return ConvParams(
-        w=xavier_uniform((k, k, cin, cout), rng, dtype=dtype),
-        b=constant_init((cout,), 0.0, dtype=dtype),
-    )
-
-
-@dataclass
-class PmaParams:
-    """Kernels for both branches, keyed by scale (kernel size).
-
-    Scale dictionaries are always iterated in sorted key order, so the
-    result is independent of construction order.
-    """
-
-    left: dict[int, ConvParams]
-    right: dict[int, ConvParams]
-    right_att: dict[int, ConvParams]
-    fuse: ConvParams
-
-    def named_parameters(self, prefix: str = ""):
-        for k in sorted(self.left):
-            yield from self.left[k].named_parameters(f"{prefix}left.k{k}.")
-        for k in sorted(self.right):
-            yield from self.right[k].named_parameters(f"{prefix}right.k{k}.")
-        for k in sorted(self.right_att):
-            yield from self.right_att[k].named_parameters(f"{prefix}att.k{k}.")
-        yield from self.fuse.named_parameters(prefix + "fuse.")
-
-
-def init_pma_params(channels: int, seed, dtype=np.float32) -> PmaParams:
-    rng = as_rng(seed)
+def pma_shapes(channels: int) -> dict[str, tuple[int, ...]]:
+    """The module's parameter table in draw order: per scale k, the left
+    branch's 2->1 kxk conv "left.k{k}", the right branch's C->C kxk feature
+    conv "right.k{k}" and its 2->1 7x7 attention conv "att.k{k}"; then the
+    1x1 fusion conv "fuse". Functions below read these names from the dict
+    they are given."""
     c = int(channels)
-    return PmaParams(
-        left={k: init_conv_params(rng, k, 2, 1, dtype) for k in SCALES},
-        right={k: init_conv_params(rng, k, c, c, dtype) for k in SCALES},
-        right_att={k: init_conv_params(rng, 7, 2, 1, dtype) for k in SCALES},
-        fuse=init_conv_params(rng, 1, 2, 1, dtype),
-    )
+    shapes: dict[str, tuple[int, ...]] = {}
+    for k in SCALES:
+        shapes |= conv_shapes(k, 2, 1, f"left.k{k}.")
+    for k in SCALES:
+        shapes |= conv_shapes(k, c, c, f"right.k{k}.")
+    for k in SCALES:
+        shapes |= conv_shapes(7, 2, 1, f"att.k{k}.")
+    return shapes | conv_shapes(1, 2, 1, "fuse.")
 
 
 # CBAM's two-channel pooling descriptor: per-pixel channel average and max.
@@ -98,45 +63,46 @@ def _zero_pad(w: Tensor, axis: int, before: int, after: int) -> Tensor:
     return concat([zeros(before), w, zeros(after)], axis=axis)
 
 
-def left_branch(x: Tensor, p: PmaParams) -> Tensor:
+def left_branch(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Multi-scale attention on the single-scale descriptor, H x W map.
 
     The per-scale 2 -> 1 kernels, zero-embedded in the largest one, run as
     one 2 -> 3 conv, built from the parameters in every forward pass.
     """
-    convs = [p.left[k] for k in sorted(p.left)]
-    size = max(c.w.shape[0] for c in convs)
-    pads = [(size - c.w.shape[0]) // 2 for c in convs]
-    w = concat([_zero_pad(_zero_pad(c.w, 0, q, q), 1, q, q) for c, q in zip(convs, pads)], axis=3)
-    b = concat([c.b for c in convs], axis=0)
+    ws = [p[f"left.k{k}.w"] for k in SCALES]
+    size = max(w.shape[0] for w in ws)
+    pads = [(size - w.shape[0]) // 2 for w in ws]
+    w = concat([_zero_pad(_zero_pad(w, 0, q, q), 1, q, q) for w, q in zip(ws, pads)], axis=3)
+    b = concat([p[f"left.k{k}.b"] for k in SCALES], axis=0)
     return tensor_sum(sigmoid(conv2d(descriptor(x), w, b)), axis=2) * (1.0 / 3.0)
 
 
-def right_branch(x: Tensor, p: PmaParams) -> Tensor:
+def right_branch(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Spatial attention on multi-scale features, averaged into one H x W map.
 
     The per-scale attention convs run as one 6 -> 3 conv over the three
     stacked descriptors, with a block-diagonal kernel: output j reads only
     descriptor j.
     """
-    scales = sorted(p.right)
-    d = concat([descriptor(relu(conv2d(x, p.right[k].w, p.right[k].b))) for k in scales], axis=2)
-    att = [p.right_att[k] for k in scales]
-    w = concat([_zero_pad(c.w, 2, 2 * j, 2 * (len(att) - 1 - j)) for j, c in enumerate(att)], axis=3)
-    b = concat([c.b for c in att], axis=0)
+    d = concat(
+        [descriptor(relu(conv2d(x, p[f"right.k{k}.w"], p[f"right.k{k}.b"]))) for k in SCALES], axis=2
+    )
+    n = len(SCALES)
+    w = concat([_zero_pad(p[f"att.k{k}.w"], 2, 2 * j, 2 * (n - 1 - j)) for j, k in enumerate(SCALES)], axis=3)
+    b = concat([p[f"att.k{k}.b"] for k in SCALES], axis=0)
     return tensor_sum(sigmoid(conv2d(d, w, b)), axis=2) * (1.0 / 3.0)
 
 
-def fuse_maps(a_l: Tensor, a_r: Tensor, p: PmaParams) -> Tensor:
+def fuse_maps(a_l: Tensor, a_r: Tensor, p: dict[str, Tensor]) -> Tensor:
     """sigmoid(conv1x1(concat(A_l, A_r))), the final H x W attention map."""
     if a_l.shape != a_r.shape:
         raise ValueError(f"attention maps must share a shape, got {a_l.shape} and {a_r.shape}")
     h, w = a_l.shape
     stacked = concat([reshape(a_l, (h, w, 1)), reshape(a_r, (h, w, 1))], axis=2)
-    return reshape(sigmoid(conv2d(stacked, p.fuse.w, p.fuse.b)), (h, w))
+    return reshape(sigmoid(conv2d(stacked, p["fuse.w"], p["fuse.b"])), (h, w))
 
 
-def pma(x: Tensor, p: PmaParams, branch: str = "both") -> Tensor:
+def pma(x: Tensor, p: dict[str, Tensor], branch: str = "both") -> Tensor:
     """The full module; 'left'/'right' feed a duplicated single branch to fuse."""
     if branch == "both":
         return fuse_maps(left_branch(x, p), right_branch(x, p), p)

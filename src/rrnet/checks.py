@@ -169,11 +169,12 @@ def _op_gradchecks(rng: np.random.Generator, trials: int) -> list[CheckResult]:
 
 
 def _algebra_checks(rng: np.random.Generator) -> list[CheckResult]:
-    from .graph import adjacency, init_reasoning_params, normalized_laplacian, srr
+    from .graph import adjacency, normalized_laplacian, reasoning_shapes, srr
+    from .init import init_params
 
     results = []
     x = Tensor(rng.standard_normal((4, 4, 6)), dtype=np.float64)
-    p = init_reasoning_params(6, rng, dtype=np.float64)
+    p = init_params(reasoning_shapes(6), rng, np.float64)
     adj = adjacency(T.reshape(x, (16, 6)), p)
     results.append(
         CheckResult("graph/adjacency_symmetric", bool(np.array_equal(adj.data, adj.data.T)))
@@ -198,10 +199,11 @@ def _algebra_checks(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _attention_checks(rng: np.random.Generator) -> list[CheckResult]:
-    from .attention import init_pma_params, pma
+    from .attention import pma, pma_shapes
+    from .init import init_params
 
     x = Tensor(rng.standard_normal((8, 8, 4)), dtype=np.float64)
-    p = init_pma_params(4, rng, dtype=np.float64)
+    p = init_params(pma_shapes(4), rng, np.float64)
     a = pma(x, p)
     in_range = bool((a.data > 0).all() and (a.data < 1).all())
     return [CheckResult("attention/map_in_open_unit_interval", in_range)]

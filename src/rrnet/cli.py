@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import dataio
 from .dataio import CheckpointError, DataFormatError
-from .init import ZeroDraws
 from .metrics import evaluate_pairs, pr_curve_csv, report_to_json
 from .network import (
     PMA_CHOICES,
     REASONING_CHOICES,
     NetworkConfig,
     from_mapping,
-    init_network_params,
+    param_shapes,
     parse_kv_text,
     predict,
 )
@@ -198,23 +197,20 @@ def _files(directory, suffix: str, flag: str) -> list[Path]:
 
 def _params_from_checkpoint(path):
     entries, cfg = dataio.load_checkpoint(path)
-    # the initializer's own constructors give the tree; every value is the checkpoint's
-    params = init_network_params(cfg, seed=ZeroDraws())
-    named = dict(params.named_parameters())
-    if set(named) != set(entries):
-        missing = sorted(set(named) - set(entries))[:4]
-        extra = sorted(set(entries) - set(named))[:4]
+    # names and shapes are checked against the config's table before any
+    # parameter is made, so a config that does not fit allocates nothing
+    shapes = param_shapes(cfg)
+    if set(shapes) != set(entries):
+        missing = sorted(set(shapes) - set(entries))[:4]
+        extra = sorted(set(entries) - set(shapes))[:4]
         raise CheckpointError(
             f"checkpoint entries do not match the configured architecture "
             f"(missing {missing}, unexpected {extra})"
         )
-    for name, values in entries.items():
-        if named[name].data.shape != values.shape:
-            raise CheckpointError(
-                f"entry '{name}' has shape {values.shape}, expected {named[name].data.shape}"
-            )
-        named[name].data = values
-    return params, cfg
+    for name, shape in shapes.items():
+        if entries[name].shape != shape:
+            raise CheckpointError(f"entry '{name}' has shape {entries[name].shape}, expected {shape}")
+    return {name: Tensor(entries[name], requires_grad=True) for name in shapes}, cfg
 
 
 def _infer_jobs(args) -> list[tuple[Path, Path]]:

@@ -379,30 +379,23 @@ def synth_dataset(n: int, seed: int, size: int = 64) -> list[Sample]:
 # -- checkpoints ----------------------------------------------------------------
 
 
-def save_checkpoint(params, cfg: NetworkConfig, path) -> None:
+def save_checkpoint(params: dict, cfg: NetworkConfig, path) -> None:
     """Binary checkpoint: magic, version, config snapshot, named f32 entries.
 
-    Each entry carries a CRC32 so payload corruption is detected on load.
-    Accepts anything with named_parameters() or an iterable of (name, tensor).
-    An entry with NaN or infinite values, or values beyond float32 range,
-    raises NumericalError, and nothing is written, since load_checkpoint
-    would refuse the file.
+    params maps each entry name to a Tensor or an array, written in the
+    dict's order. Each entry carries a CRC32 so payload corruption is
+    detected on load. An entry with NaN or infinite values, or values beyond
+    float32 range, raises NumericalError, and nothing is written, since
+    load_checkpoint would refuse the file.
     """
-    if hasattr(params, "named_parameters"):
-        items = list(params.named_parameters())
-    else:
-        items = list(params)
-    names = [name for name, _ in items]
-    if len(set(names)) != len(names):
-        raise CheckpointError("duplicate parameter names in checkpoint")
     out = bytearray()
     out += CHECKPOINT_MAGIC
     out += struct.pack("<I", CHECKPOINT_VERSION)
     cfg_blob = cfg.to_text().encode("utf-8")
     out += struct.pack("<I", len(cfg_blob))
     out += cfg_blob
-    out += struct.pack("<I", len(items))
-    for name, tensor in items:
+    out += struct.pack("<I", len(params))
+    for name, tensor in params.items():
         with np.errstate(over="ignore"):  # an overflow to inf is refused just below
             data = np.ascontiguousarray(
                 tensor.data if hasattr(tensor, "data") else tensor, dtype="<f4"
@@ -469,6 +462,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
         raise CheckpointError(f"bad config in {path}: {e}") from None
     count = r.u32("entry count")
     entries: dict[str, np.ndarray] = {}
+    # names are quoted with repr, so a corrupt one cannot break a message's line
     for _ in range(count):
         name_len = r.u16("name length")
         try:
@@ -476,17 +470,20 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
         except UnicodeDecodeError as e:
             raise CheckpointError(f"bad entry name in {path}: {e}") from None
         if name in entries:
-            raise CheckpointError(f"duplicate entry '{name}' in {path}")
+            raise CheckpointError(f"duplicate entry {name!r} in {path}")
         ndim = r.u8("rank")
         shape = tuple(r.u32("dimension") for _ in range(ndim))
-        n_values = int(np.prod(shape)) if shape else 1
-        payload = r.take(4 * n_values, f"payload of '{name}'")
+        n_values = math.prod(shape)  # exact: a corrupt shape must not wrap around
+        payload = r.take(4 * n_values, f"payload of {name!r}")
         crc = r.u32("checksum")
         if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
-            raise CheckpointError(f"checksum mismatch for entry '{name}' in {path}")
-        values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+            raise CheckpointError(f"checksum mismatch for entry {name!r} in {path}")
+        try:
+            values = np.frombuffer(payload, dtype="<f4").reshape(shape)
+        except ValueError as e:  # more dimensions than numpy supports
+            raise CheckpointError(f"entry {name!r} in {path}: {e}") from None
         if not np.isfinite(values).all():
-            raise CheckpointError(f"entry '{name}' in {path} holds NaN or infinite values")
+            raise CheckpointError(f"entry {name!r} in {path} holds NaN or infinite values")
         entries[name] = values.astype(np.float32)  # the one copy, in native byte order
     return entries, cfg
 
@@ -502,7 +499,8 @@ def write_manifest(path, pairs: list[tuple[str, str]]) -> None:
 def load_manifest_samples(path) -> list[Sample]:
     """Read every image<TAB>mask line, blank lines skipped; relative paths are
     taken from the manifest's directory. A malformed line, or an image and
-    mask of different sizes, is a data error that names its line."""
+    mask of different sizes, is a data error that names its line. A manifest
+    with no image lines is a data error too."""
     base = Path(path).parent
     samples = []
     for ln, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -523,4 +521,6 @@ def load_manifest_samples(path) -> list[Sample]:
                 path,
             )
         samples.append(Sample(image=image, mask=mask, id=Path(img_path).stem))
+    if not samples:
+        raise DataFormatError("manifest lists no image<TAB>mask lines", path)
     return samples

@@ -9,11 +9,8 @@ Laplacian followed by a trainable square weight matrix: relu(L M Theta).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .init import as_rng, constant_init, xavier_uniform
 from .tensor import (
     NumericalError,
     Tensor,
@@ -29,8 +26,8 @@ from .tensor import (
 )
 
 __all__ = [
-    "ReasoningParams",
-    "NonLocalParams",
+    "reasoning_shapes",
+    "nonlocal_shapes",
     "canonical_vertex_order",
     "adjacency",
     "normalized_laplacian",
@@ -38,42 +35,27 @@ __all__ = [
     "srr",
     "crr",
     "non_local_block",
-    "init_reasoning_params",
-    "init_nonlocal_params",
 ]
 
 DEGREE_EPS = 1e-6
 
 
-@dataclass
-class ReasoningParams:
-    """1x1 projection, diagonal-metric conv and the square mixing matrix.
+def reasoning_shapes(feature_dim: int) -> dict[str, tuple[int, ...]]:
+    """The reasoning parameter table in draw order: the 1x1 projection
+    proj_w/proj_b, the diagonal-metric conv lambda_w/lambda_b and the square
+    mixing matrix theta, all sized by the vertex feature dimension.
 
     The i- and j-sides of the similarity share the projection, which makes
     the adjacency symmetric and the symmetric normalization well-posed.
     """
-
-    proj_w: Tensor
-    proj_b: Tensor
-    lambda_w: Tensor
-    lambda_b: Tensor
-    theta: Tensor
-
-    def named_parameters(self, prefix: str = ""):
-        for name in ("proj_w", "proj_b", "lambda_w", "lambda_b", "theta"):
-            yield prefix + name, getattr(self, name)
-
-
-def init_reasoning_params(feature_dim: int, seed, dtype=np.float32) -> ReasoningParams:
-    rng = as_rng(seed)
     a2 = int(feature_dim)
-    return ReasoningParams(
-        proj_w=xavier_uniform((a2, a2), rng, dtype=dtype),
-        proj_b=constant_init((a2,), 0.0, dtype=dtype),
-        lambda_w=xavier_uniform((a2, a2), rng, dtype=dtype),
-        lambda_b=constant_init((a2,), 0.0, dtype=dtype),
-        theta=xavier_uniform((a2, a2), rng, dtype=dtype),
-    )
+    return {
+        "proj_w": (a2, a2),
+        "proj_b": (a2,),
+        "lambda_w": (a2, a2),
+        "lambda_b": (a2,),
+        "theta": (a2, a2),
+    }
 
 
 def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
@@ -92,16 +74,16 @@ def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(cols)
 
 
-def adjacency(m: Tensor, p: ReasoningParams) -> Tensor:
+def adjacency(m: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Non-negative pairwise similarity of the rows (vertexes) of m, with a
     learned diagonal metric."""
     a2 = m.shape[1]
-    if p.proj_w.shape != (a2, a2) or p.theta.shape != (a2, a2):
+    if p["proj_w"].shape != (a2, a2) or p["theta"].shape != (a2, a2):
         raise ValueError(
-            f"reasoning params sized for feature dim {p.proj_w.shape[0]}, graph has {a2}"
+            f"reasoning params sized for feature dim {p['proj_w'].shape[0]}, graph has {a2}"
         )
-    proj = relu(m @ p.proj_w + p.proj_b)
-    lam = relu(global_vertex_avg(m) @ p.lambda_w + p.lambda_b)  # 1 x a2 diagonal
+    proj = relu(m @ p["proj_w"] + p["proj_b"])
+    lam = relu(global_vertex_avg(m) @ p["lambda_w"] + p["lambda_b"])  # 1 x a2 diagonal
     adj = (proj * lam) @ transpose(proj)
     # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
     adj = (adj + transpose(adj)) * 0.5
@@ -124,7 +106,7 @@ def normalized_laplacian(adj: Tensor, eps: float = DEGREE_EPS) -> Tensor:
     return eye + adj * scale * -1.0
 
 
-def graph_reason(m: Tensor, p: ReasoningParams) -> Tensor:
+def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
     """relu(L M Theta) for a vertex-feature matrix M (one row per vertex).
 
     The pipeline runs in canonical vertex order (see canonical_vertex_order)
@@ -134,7 +116,7 @@ def graph_reason(m: Tensor, p: ReasoningParams) -> Tensor:
     order = canonical_vertex_order(m.data)
     mc = take_rows(m, order)
     lap = normalized_laplacian(adjacency(mc, p))
-    out = relu(lap @ mc @ p.theta)
+    out = relu(lap @ mc @ p["theta"])
     return take_rows(out, np.argsort(order))
 
 
@@ -144,14 +126,14 @@ def _hwc(x: Tensor, name: str) -> tuple[int, int, int]:
     return x.shape
 
 
-def srr(x: Tensor, p: ReasoningParams) -> Tensor:
+def srr(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Spatial relational reasoning: the H*W pixels are the vertexes, vertex
     k being pixel (k // W, k % W) with its C channel values as features."""
     h, w, c = _hwc(x, "srr")
     return reshape(graph_reason(reshape(x, (h * w, c)), p), (h, w, c))
 
 
-def crr(x: Tensor, p: ReasoningParams) -> Tensor:
+def crr(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Channel relational reasoning: the C channels are the vertexes, each
     described by its H*W pixel values."""
     h, w, c = _hwc(x, "crr")
@@ -162,49 +144,29 @@ def crr(x: Tensor, p: ReasoningParams) -> Tensor:
 # -- non-local block (ablation alternative to relational reasoning) ----------
 
 
-@dataclass
-class NonLocalParams:
-    theta_w: Tensor
-    theta_b: Tensor
-    phi_w: Tensor
-    phi_b: Tensor
-    g_w: Tensor
-    g_b: Tensor
-    out_w: Tensor
-    out_b: Tensor
-
-    def named_parameters(self, prefix: str = ""):
-        for name in ("theta_w", "theta_b", "phi_w", "phi_b", "g_w", "g_b", "out_w", "out_b"):
-            yield prefix + name, getattr(self, name)
-
-
-def init_nonlocal_params(channels: int, seed, dtype=np.float32) -> NonLocalParams:
-    rng = as_rng(seed)
+def nonlocal_shapes(channels: int) -> dict[str, tuple[int, ...]]:
+    """The non-local parameter table in draw order: the query, key and value
+    projections theta, phi and g from C to C/2 channels, and the output
+    projection back to C, each a weight _w and a bias _b."""
     c = int(channels)
     ci = max(c // 2, 1)
-    return NonLocalParams(
-        theta_w=xavier_uniform((c, ci), rng, dtype=dtype),
-        theta_b=constant_init((ci,), 0.0, dtype=dtype),
-        phi_w=xavier_uniform((c, ci), rng, dtype=dtype),
-        phi_b=constant_init((ci,), 0.0, dtype=dtype),
-        g_w=xavier_uniform((c, ci), rng, dtype=dtype),
-        g_b=constant_init((ci,), 0.0, dtype=dtype),
-        out_w=xavier_uniform((ci, c), rng, dtype=dtype),
-        out_b=constant_init((c,), 0.0, dtype=dtype),
-    )
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name in ("theta", "phi", "g"):
+        shapes |= {f"{name}_w": (c, ci), f"{name}_b": (ci,)}
+    return shapes | {"out_w": (ci, c), "out_b": (c,)}
 
 
-def non_local_block(x: Tensor, p: NonLocalParams) -> Tensor:
+def non_local_block(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Embedded-Gaussian non-local attention with a residual connection."""
     h, w, c = _hwc(x, "non_local_block")
-    if p.theta_w.shape[0] != c:
+    if p["theta_w"].shape[0] != c:
         raise ValueError(
-            f"non-local params sized for {p.theta_w.shape[0]} channels, input has {c}"
+            f"non-local params sized for {p['theta_w'].shape[0]} channels, input has {c}"
         )
     m = reshape(x, (h * w, c))
-    q = m @ p.theta_w + p.theta_b
-    k = m @ p.phi_w + p.phi_b
-    v = m @ p.g_w + p.g_b
+    q = m @ p["theta_w"] + p["theta_b"]
+    k = m @ p["phi_w"] + p["phi_b"]
+    v = m @ p["g_w"] + p["g_b"]
     attn = softmax(q @ transpose(k), axis=-1)
-    z = (attn @ v) @ p.out_w + p.out_b
+    z = (attn @ v) @ p["out_w"] + p["out_b"]
     return x + reshape(z, (h, w, c))

@@ -1,4 +1,4 @@
-"""Parameter initialization: Xavier-uniform weights, constant biases."""
+"""Parameter initialization: Xavier-uniform weights, zero biases."""
 
 from __future__ import annotations
 
@@ -6,26 +6,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["xavier_uniform", "constant_init", "as_rng", "ZeroDraws"]
-
-
-class ZeroDraws:
-    """Stands in for a Generator whose every draw is zero. Constructors given
-    one build a parameter tree's names and shapes without drawing a value,
-    for a caller that overwrites every value, such as a checkpoint load."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.zeros(size)
-
-
-def as_rng(seed) -> np.random.Generator:
-    """Accept an int seed, or an existing Generator or ZeroDraws as is.
-
-    numpy.random is imported only when a seed must become a Generator."""
-    if hasattr(seed, "uniform"):
-        return seed
-    return np.random.default_rng(seed)
+__all__ = ["xavier_uniform", "init_params"]
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -37,17 +18,27 @@ def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
 
 
 def xavier_uniform(shape, seed, dtype=np.float32, requires_grad: bool = True) -> Tensor:
-    """Uniform draw on +-sqrt(6 / (fan_in + fan_out)), deterministic per seed."""
+    """Uniform draw on +-sqrt(6 / (fan_in + fan_out)), deterministic per seed.
+
+    seed is an int or a Generator, which is drawn from in place."""
     shape = tuple(int(s) for s in shape)
     if len(shape) < 2:
         raise ValueError(f"xavier_uniform needs rank >= 2 to derive fans, got shape {shape}")
-    rng = as_rng(seed)
+    rng = np.random.default_rng(seed)
     fan_in, fan_out = _fans(shape)
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     values = rng.uniform(-bound, bound, size=shape).astype(dtype)
     return Tensor(values, requires_grad=requires_grad)
 
 
-def constant_init(shape, value: float = 0.0, dtype=np.float32, requires_grad: bool = True) -> Tensor:
-    shape = tuple(int(s) for s in shape)
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
+def init_params(shapes: dict[str, tuple[int, ...]], seed, dtype=np.float32) -> dict[str, Tensor]:
+    """One trainable tensor per entry of a {name: shape} table, drawn in table
+    order from one generator: Xavier-uniform for rank 2 or more, zeros for
+    rank 1. A zero entry draws nothing."""
+    rng = np.random.default_rng(seed)
+    return {
+        name: xavier_uniform(shape, rng, dtype)
+        if len(shape) >= 2
+        else Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        for name, shape in shapes.items()
+    }

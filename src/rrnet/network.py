@@ -3,15 +3,14 @@ attention-modulated decoder, prediction head, and the class-balanced loss."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import graph as G
 from . import attention as A
-from .attention import ConvParams, init_conv_params
-from .init import as_rng
+from .attention import conv_shapes
+from .init import init_params
 from .tensor import (
     Tensor,
     clip,
@@ -29,8 +28,8 @@ __all__ = [
     "NetworkConfig",
     "PMA_CHOICES",
     "REASONING_CHOICES",
-    "NetworkParams",
     "SaliencyPrediction",
+    "param_shapes",
     "init_network_params",
     "encode",
     "decode_fuse",
@@ -156,84 +155,56 @@ class SaliencyPrediction:
     map: Tensor
 
 
-@dataclass
-class NetworkParams:
-    """All trainable tensors, iterable in a fixed order by name."""
-
-    stages: list[list[ConvParams]] = field(default_factory=list)
-    rr_spatial: dict[int, G.ReasoningParams] = field(default_factory=dict)
-    rr_channel: dict[int, G.ReasoningParams] = field(default_factory=dict)
-    pma: dict[int, A.PmaParams] = field(default_factory=dict)
-    decoder: dict[int, ConvParams] = field(default_factory=dict)
-    head: list[ConvParams] = field(default_factory=list)
-    nonlocal_: dict[int, G.NonLocalParams] = field(default_factory=dict)
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        for s, stage in enumerate(self.stages, start=1):
-            for i, c in enumerate(stage):
-                yield from c.named_parameters(f"backbone.s{s}.c{i}.")
-        for s in sorted(self.rr_spatial):
-            yield from self.rr_spatial[s].named_parameters(f"rr.s{s}.spatial.")
-        for s in sorted(self.rr_channel):
-            yield from self.rr_channel[s].named_parameters(f"rr.s{s}.channel.")
-        for s in sorted(self.pma):
-            yield from self.pma[s].named_parameters(f"pma.s{s}.")
-        for s in sorted(self.decoder):
-            yield from self.decoder[s].named_parameters(f"decoder.s{s}.")
-        for i, c in enumerate(self.head):
-            yield from c.named_parameters(f"head.c{i}.")
-        for s in sorted(self.nonlocal_):
-            yield from self.nonlocal_[s].named_parameters(f"nonlocal.s{s}.")
+def _prefixed(prefix: str, shapes: dict[str, tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
+    return {prefix + name: shape for name, shape in shapes.items()}
 
 
-def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> NetworkParams:
-    """Create every parameter tensor the architecture can use.
+def _scope(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
+    """The entries under prefix, named without it: one module's own slice."""
+    n = len(prefix)
+    return {name[n:]: t for name, t in params.items() if name.startswith(prefix)}
 
-    Reasoning and attention parameters are created whatever the pma and
+
+def param_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's checkpoint name and shape, in draw order.
+
+    Reasoning and attention entries are listed whatever the pma and
     reasoning settings, so that all ablation variants share an identical
     backbone initialization for a given seed; unused modules simply stay
-    unused. Non-local parameters are appended last, only with reasoning
-    "nonlocal".
+    unused. Non-local entries come last, only with reasoning "nonlocal".
     """
-    rng = as_rng(seed)
-    params = NetworkParams()
+    shapes: dict[str, tuple[int, ...]] = {}
     cin = 3
     for s, cout in enumerate(cfg.stage_channels, start=1):
-        params.stages.append(
-            [
-                init_conv_params(rng, 3, cin, cout, dtype),
-                init_conv_params(rng, 3, cout, cout, dtype),
-                init_conv_params(rng, 3, cout, cout, dtype),
-            ]
-        )
+        for i in range(3):
+            shapes |= conv_shapes(3, cin if i == 0 else cout, cout, f"backbone.s{s}.c{i}.")
         cin = cout
     for s in HIGH_STAGES:
-        c = cfg.stage_channels[s - 1]
         h, w = cfg.stage_spatial(s)
-        params.rr_spatial[s] = G.init_reasoning_params(c, rng, dtype=dtype)
-        params.rr_channel[s] = G.init_reasoning_params(h * w, rng, dtype=dtype)
+        shapes |= _prefixed(f"rr.s{s}.spatial.", G.reasoning_shapes(cfg.stage_channels[s - 1]))
+        shapes |= _prefixed(f"rr.s{s}.channel.", G.reasoning_shapes(h * w))
     for s in LOW_STAGES:
-        params.pma[s] = A.init_pma_params(cfg.stage_channels[s - 1], rng, dtype=dtype)
+        shapes |= _prefixed(f"pma.s{s}.", A.pma_shapes(cfg.stage_channels[s - 1]))
     width = cfg.decoder_width
     for s in (5, 4, 3, 2):
         up_ch = cfg.stage_channels[4] if s == 5 else width
-        params.decoder[s] = init_conv_params(rng, 3, up_ch + cfg.stage_channels[s - 2], width, dtype)
-    params.head = [
-        init_conv_params(rng, 3, width, width, dtype),
-        init_conv_params(rng, 3, width, width, dtype),
-        init_conv_params(rng, 1, width, 1, dtype),
-    ]
+        shapes |= conv_shapes(3, up_ch + cfg.stage_channels[s - 2], width, f"decoder.s{s}.")
+    shapes |= conv_shapes(3, width, width, "head.c0.") | conv_shapes(3, width, width, "head.c1.")
+    shapes |= conv_shapes(1, width, 1, "head.c2.")
     if cfg.reasoning == "nonlocal":
         for s in HIGH_STAGES:
-            params.nonlocal_[s] = G.init_nonlocal_params(cfg.stage_channels[s - 1], rng, dtype)
-    return params
+            shapes |= _prefixed(f"nonlocal.s{s}.", G.nonlocal_shapes(cfg.stage_channels[s - 1]))
+    return shapes
 
 
-def _stage_forward(x: Tensor, stage: list[ConvParams]) -> Tensor:
-    h = relu(conv2d(x, stage[0].w, stage[0].b, stride=2))
-    h = relu(conv2d(h, stage[1].w, stage[1].b))
-    h = relu(conv2d(h, stage[2].w, stage[2].b))
-    return h
+def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> dict[str, Tensor]:
+    """A fresh {checkpoint name: trainable tensor} dict, drawn from seed (an
+    int or a Generator) in param_shapes order."""
+    return init_params(param_shapes(cfg), seed, dtype)
+
+
+def _conv(x: Tensor, params: dict[str, Tensor], prefix: str, stride: int = 1) -> Tensor:
+    return conv2d(x, params[prefix + "w"], params[prefix + "b"], stride=stride)
 
 
 def _check_image(image: Tensor) -> None:
@@ -246,7 +217,7 @@ def _check_image(image: Tensor) -> None:
         )
 
 
-def encode(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> list[Tensor]:
+def encode(image: Tensor, params: dict[str, Tensor], cfg: NetworkConfig) -> list[Tensor]:
     """Backbone with relational reasoning after each high-level stage.
 
     The reasoning output replaces the stage features and feeds the next
@@ -257,27 +228,30 @@ def encode(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> list[Ten
     modules = cfg.reasoning.split("+")
     feats = []
     h = image
-    for s, stage in enumerate(params.stages, start=1):
-        h = _stage_forward(h, stage)
+    for s in LOW_STAGES + HIGH_STAGES:
+        h = relu(_conv(h, params, f"backbone.s{s}.c0.", stride=2))
+        h = relu(_conv(h, params, f"backbone.s{s}.c1."))
+        h = relu(_conv(h, params, f"backbone.s{s}.c2."))
         if s in HIGH_STAGES:
             if "nonlocal" in modules:
-                h = G.non_local_block(h, params.nonlocal_[s])
+                h = G.non_local_block(h, _scope(params, f"nonlocal.s{s}."))
             if "srr" in modules:
-                h = G.srr(h, params.rr_spatial[s])
+                h = G.srr(h, _scope(params, f"rr.s{s}.spatial."))
             if "crr" in modules:
-                h = G.crr(h, params.rr_channel[s])
+                h = G.crr(h, _scope(params, f"rr.s{s}.channel."))
         feats.append(h)
     return feats
 
 
 def decode_fuse(
-    f_d: Tensor, f_e: Tensor, a_f: Tensor | None, conv: ConvParams
+    f_d: Tensor, f_e: Tensor, a_f: Tensor | None, conv: dict[str, Tensor]
 ) -> Tensor:
     """One decoder fusion step.
 
     Upsamples the deep features, optionally gates them with (A_f + 1)
     (so A_f == 0 reproduces the ungated path bit for bit), concatenates the
-    encoder features and mixes with a 3x3 convolution.
+    encoder features and mixes with a 3x3 convolution of weight conv["w"]
+    and bias conv["b"].
     """
     up = upsample2x(f_d)
     if up.shape[:2] != f_e.shape[:2]:
@@ -292,10 +266,10 @@ def decode_fuse(
             )
         gate = reshape(a_f, (*a_f.shape, 1)) + 1.0
         up = up * gate
-    return conv2d(concat([up, f_e], axis=2), conv.w, conv.b)
+    return conv2d(concat([up, f_e], axis=2), conv["w"], conv["b"])
 
 
-def predict(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> SaliencyPrediction:
+def predict(image: Tensor, params: dict[str, Tensor], cfg: NetworkConfig) -> SaliencyPrediction:
     """Full forward pass producing a saliency map at the input resolution."""
     feats = encode(image, params, cfg)
     f_d = feats[4]  # decoder seed: the deepest encoder output
@@ -303,15 +277,15 @@ def predict(image: Tensor, params: NetworkParams, cfg: NetworkConfig) -> Salienc
         f_e = feats[s - 2]
         a_f = None
         if s in (2, 3) and cfg.pma != "none":
-            a_f = A.pma(f_e, params.pma[s - 1], branch=cfg.pma)
-        f_d = decode_fuse(f_d, f_e, a_f, params.decoder[s])
+            a_f = A.pma(f_e, _scope(params, f"pma.s{s - 1}."), branch=cfg.pma)
+        f_d = decode_fuse(f_d, f_e, a_f, _scope(params, f"decoder.s{s}."))
     # the first head conv runs at stage-1 resolution; the remaining two run
     # after the 2x upsample so the map is refined at input resolution
     # (a block-constant map cannot reach the acceptance F-measure targets)
-    h = relu(conv2d(f_d, params.head[0].w, params.head[0].b))
+    h = relu(_conv(f_d, params, "head.c0."))
     h = upsample2x(h)
-    h = relu(conv2d(h, params.head[1].w, params.head[1].b))
-    m = sigmoid(conv2d(h, params.head[2].w, params.head[2].b))
+    h = relu(_conv(h, params, "head.c1."))
+    m = sigmoid(_conv(h, params, "head.c2."))
     return SaliencyPrediction(map=reshape(m, m.shape[:2]))
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import Sample, augment7, resize_sample
-from .network import NetworkConfig, NetworkParams, balanced_bce_loss, init_network_params, predict
+from .network import NetworkConfig, balanced_bce_loss, init_network_params, predict
 from .optim import Adam, LinearSchedule
 from .tensor import NumericalError, Tensor, no_grad
 
@@ -39,12 +39,12 @@ class TrainSettings:
 
 @dataclass
 class TrainResult:
-    params: NetworkParams
+    params: dict[str, Tensor]  # checkpoint name -> trained tensor
     log: list[tuple[int, float, float]] = field(default_factory=list)  # (iter, loss, lr)
 
 
 def _batch_loss(
-    batch: list[Sample], params: NetworkParams, cfg: NetworkConfig, with_grad: bool
+    batch: list[Sample], params: dict[str, Tensor], cfg: NetworkConfig, with_grad: bool
 ) -> float:
     total = 0.0
     for sample in batch:
@@ -90,7 +90,7 @@ def train_model(
         return result
 
     schedule = LinearSchedule(settings.lr_initial, settings.lr_final, iters)
-    adam = Adam(dict(params.named_parameters()), schedule)
+    adam = Adam(params, schedule)
     batch_rng = np.random.default_rng(seed_batches)
     indices = batch_rng.integers(0, len(pool), size=(iters, settings.batch_size))
 

@@ -68,6 +68,15 @@ def poison_entry(ck, name: str, value: float) -> None:
     ck.write_bytes(bytes(data))
 
 
+def write_one_entry_checkpoint(ck, shape, payload: bytes) -> None:
+    """A checkpoint of TINY_CFG with one entry 'w' of any rank and shape,
+    whatever the payload's size, and that payload's valid checksum."""
+    save_checkpoint({}, TINY_CFG, ck)
+    entry = struct.pack("<H", 1) + b"w" + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + payload
+    # the empty checkpoint ends with its entry count, which becomes 1
+    ck.write_bytes(ck.read_bytes()[:-4] + struct.pack("<I", 1) + entry + struct.pack("<I", zlib.crc32(payload)))
+
+
 class TestGenData:
     def test_writes_dataset_and_manifest(self, tmp_path, capsys):
         code, out, _ = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", "4", "--seed", "3", "--size", "32")
@@ -92,7 +101,7 @@ class TestTrain:
         ss = np.random.SeedSequence(4)
         seed_params, _ = ss.spawn(2)
         fresh = init_network_params(cfg, np.random.default_rng(seed_params))
-        for name, p in fresh.named_parameters():
+        for name, p in fresh.items():
             assert np.array_equal(entries[name], p.data), name
 
     def test_identical_invocations_byte_identical_checkpoints(self, tmp_path, capsys):
@@ -110,7 +119,7 @@ class TestTrain:
 
         def diverging(*args, **kwargs):
             result = real(*args, **kwargs)
-            result.params.head[2].b.data[:] = np.inf
+            result.params["head.c2.b"].data[:] = np.inf
             return result
 
         monkeypatch.setattr(rrnet.cli, "train_model", diverging)
@@ -250,6 +259,15 @@ class TestTrain:
         assert err.startswith("data error: manifest line 1:") and len(err.splitlines()) == 1
         assert not (tmp_path / "m.ck").exists()
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["no_lines", "blank_lines"])
+    def test_empty_manifest_is_data_error(self, tmp_path, capsys, text):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(text)
+        code, _, err = run(capsys, "train", "--manifest", str(manifest), "--iters", "0", "--out", str(tmp_path / "m.ck"))
+        assert code == EXIT_DATA
+        assert err.startswith("data error: ") and str(manifest) in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ck").exists()
+
     def test_ablation_toggles(self, tmp_path, capsys):
         ck = tmp_path / "m.ck"
         code, _, _ = run(
@@ -352,7 +370,7 @@ class TestInfer:
 
     def test_checkpoint_with_bad_config_is_data_error(self, tmp_path, capsys):
         ck = tmp_path / "model.ck"
-        save_checkpoint([], NetworkConfig(), ck)
+        save_checkpoint({}, NetworkConfig(), ck)
         replace_config_blob(ck, b"bogus=1\n")
         code, _, err = run(
             capsys, "infer", "--checkpoint", str(ck),
@@ -364,7 +382,7 @@ class TestInfer:
 
     def test_checkpoint_config_bad_value_names_its_key(self, tmp_path, capsys):
         ck = tmp_path / "model.ck"
-        save_checkpoint([], NetworkConfig(), ck)
+        save_checkpoint({}, NetworkConfig(), ck)
         replace_config_blob(ck, b"decoder_width=wide\n")
         code, _, err = run(
             capsys, "infer", "--checkpoint", str(ck),
@@ -377,7 +395,7 @@ class TestInfer:
     @pytest.mark.parametrize("key", ["pma", "reasoning"])
     def test_checkpoint_config_unknown_ablation_value_is_data_error(self, tmp_path, capsys, key):
         ck = tmp_path / "model.ck"
-        save_checkpoint([], NetworkConfig(), ck)
+        save_checkpoint({}, NetworkConfig(), ck)
         replace_config_blob(ck, f"{key}=diagonal\n".encode())
         code, _, err = run(
             capsys, "infer", "--checkpoint", str(ck),
@@ -390,7 +408,7 @@ class TestInfer:
     @pytest.mark.parametrize("size", [b"0,0", b"-32,64"])
     def test_checkpoint_with_non_positive_input_size_is_data_error(self, tmp_path, capsys, size):
         ck = tmp_path / "model.ck"
-        save_checkpoint([], NetworkConfig(), ck)
+        save_checkpoint({}, NetworkConfig(), ck)
         replace_config_blob(ck, b"input_size=" + size + b"\n")
         code, _, err = run(
             capsys, "infer", "--checkpoint", str(ck),
@@ -434,19 +452,16 @@ class TestInfer:
     @pytest.mark.parametrize(
         "cfg", [TINY_CFG, replace(TINY_CFG, reasoning="nonlocal")], ids=["rr", "nonlocal"]
     )
-    def test_params_from_checkpoint_equal_initialization_then_overwrite(self, tmp_path, cfg):
+    def test_params_from_checkpoint_equal_the_saved_params(self, tmp_path, cfg):
         saved = init_network_params(cfg, seed=5)
         save_checkpoint(saved, cfg, tmp_path / "m.ck")
         params, loaded_cfg = _params_from_checkpoint(tmp_path / "m.ck")
-        expected = init_network_params(cfg, seed=0)
-        for (_, t), (_, v) in zip(expected.named_parameters(), saved.named_parameters()):
-            t.data = v.data
 
-        def tree(p):
-            return [(n, t.data.dtype, t.shape, t.requires_grad, t.data.tobytes()) for n, t in p.named_parameters()]
+        def table(p):
+            return [(n, t.data.dtype, t.shape, t.requires_grad, t.data.tobytes()) for n, t in p.items()]
 
         assert loaded_cfg == cfg
-        assert type(params) is type(expected) and tree(params) == tree(expected)
+        assert type(params) is dict and table(params) == table(saved)
 
     @pytest.mark.parametrize(
         "edit,message",
@@ -458,8 +473,8 @@ class TestInfer:
         ids=["missing", "unexpected", "shape"],
     )
     def test_checkpoint_that_does_not_fit_the_architecture_is_data_error(self, tmp_path, capsys, edit, message):
-        named = [(n, t.data) for n, t in init_network_params(TINY_CFG, seed=0).named_parameters()]
-        save_checkpoint(edit(named), TINY_CFG, tmp_path / "m.ck")
+        named = [(n, t.data) for n, t in init_network_params(TINY_CFG, seed=0).items()]
+        save_checkpoint(dict(edit(named)), TINY_CFG, tmp_path / "m.ck")
         code, _, err = run(
             capsys, "infer", "--checkpoint", str(tmp_path / "m.ck"),
             "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
@@ -467,6 +482,89 @@ class TestInfer:
         assert code == EXIT_DATA
         assert err.startswith("data error: ") and len(err.splitlines()) == 1
         assert re.search(message, err)
+
+    def test_config_that_does_not_fit_its_entries_is_data_error_before_any_allocation(self, tmp_path, capsys):
+        # 64 px entries under a config whose channel-reasoning matrices would
+        # be 2**34 x 2**34: only the table of shapes may be built from it
+        cfg = replace(TINY_CFG, input_size=(64, 64))
+        ck = tmp_path / "m.ck"
+        save_checkpoint(init_network_params(cfg, seed=0), replace(cfg, input_size=(1048576, 1048576)), ck)
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error: entry 'rr.s3.channel.proj_w' has shape (64, 64), expected (17179869184")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "shape", [(65536,) * 4, (2**31 + 1, 2**31 + 1, 3), (2**31, 2**31 - 1)], ids=["wraps_to_0", "wraps_negative", "fits"]
+    )
+    def test_entry_shape_whose_size_overflows_int64_is_data_error(self, tmp_path, capsys, shape):
+        ck = tmp_path / "m.ck"
+        write_one_entry_checkpoint(ck, shape, b"")
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error: checkpoint truncated while reading payload of 'w'")
+        assert len(err.splitlines()) == 1
+
+    def test_entry_of_more_dimensions_than_numpy_holds_is_data_error(self, tmp_path, capsys):
+        ck = tmp_path / "m.ck"
+        write_one_entry_checkpoint(ck, (1,) * 65, struct.pack("<f", 1.0))
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(ck),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("data error: entry 'w' in ") and len(err.splitlines()) == 1
+
+    def test_entries_in_any_order_load_to_the_same_params_and_maps(self, tmp_path, capsys):
+        # a checkpoint written in another entry order, such as one from a
+        # build that listed its parameters module by module
+        params = init_network_params(TINY_CFG, seed=3)
+        save_checkpoint(params, TINY_CFG, tmp_path / "table.ck")
+        save_checkpoint(dict(reversed(params.items())), TINY_CFG, tmp_path / "reversed.ck")
+        assert list(load_checkpoint(tmp_path / "reversed.ck")[0]) == list(reversed(params))
+        write_ppm(tmp_path / "in.ppm", np.random.default_rng(1).uniform(size=(48, 40, 3)))
+        maps = []
+        for name in ("table", "reversed"):
+            loaded, _ = _params_from_checkpoint(tmp_path / f"{name}.ck")
+            assert list(loaded) == list(params)
+            assert all(np.array_equal(loaded[n].data, t.data) for n, t in params.items())
+            out = tmp_path / f"{name}.pgm"
+            code, _, _ = run(capsys, "infer", "--checkpoint", str(tmp_path / f"{name}.ck"), "--input", str(tmp_path / "in.ppm"), "--output", str(out))
+            assert code == EXIT_OK
+            maps.append(out.read_bytes())
+        assert maps[0] == maps[1]
+
+    def test_seeded_corruptions_exit_ok_or_with_one_data_error_line(self, tmp_path, capsys):
+        cfg = NetworkConfig(stage_channels=(1, 1, 2, 2, 2), decoder_width=2, input_size=(32, 32))
+        ck, img, out = tmp_path / "m.ck", tmp_path / "in.ppm", tmp_path / "out.pgm"
+        save_checkpoint(init_network_params(cfg, seed=0), cfg, ck)
+        good = ck.read_bytes()
+        write_ppm(img, np.full((32, 32, 3), 0.5))
+        rng = np.random.default_rng(0)
+        codes = []
+        for i in range(210):
+            data = bytearray(good)
+            pos = int(rng.integers(0, len(data)))
+            if i % 3 == 0:
+                data[pos] ^= int(rng.integers(1, 256))  # flip some bits of one byte
+            elif i % 3 == 1:
+                del data[pos:]  # truncate
+            else:
+                data.insert(pos, int(rng.integers(0, 256)))  # insert one byte
+            ck.write_bytes(bytes(data))
+            code, _, err = run(capsys, "infer", "--checkpoint", str(ck), "--input", str(img), "--output", str(out))
+            codes.append(code)
+            assert code in (EXIT_OK, EXIT_DATA), (i, pos, code, err)
+            if code == EXIT_DATA:
+                assert err.startswith("data error: ") and len(err.splitlines()) == 1, (i, pos, err)
+                assert "Traceback" not in err
+        assert codes.count(EXIT_DATA) > 150
 
     def test_directory_maps_equal_single_image_runs(self, trained, capsys, rng):
         tmp_path, ck = trained

@@ -239,10 +239,9 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, path)
         entries, cfg2 = load_checkpoint(path)
         assert cfg2 == cfg
-        named = dict(params.named_parameters())
-        assert list(entries) == list(named)
+        assert list(entries) == list(params)
         for name, arr in entries.items():
-            assert np.array_equal(arr, named[name].data)
+            assert np.array_equal(arr, params[name].data)
 
     def test_predictions_identical_after_reload(self, tmp_path, rng):
         from rrnet.network import init_network_params, predict
@@ -255,7 +254,7 @@ class TestCheckpoint:
         save_checkpoint(params, cfg, path)
         entries, cfg2 = load_checkpoint(path)
         params2 = init_network_params(cfg2, seed=0)
-        for name, p in params2.named_parameters():
+        for name, p in params2.items():
             p.data = entries[name]
         after = predict(img, params2, cfg2).map.data
         assert np.array_equal(before, after)
@@ -263,7 +262,7 @@ class TestCheckpoint:
     def test_corrupting_payload_byte_detected(self, tmp_path):
         cfg = NetworkConfig(stage_channels=(1, 1, 1, 1, 1), decoder_width=2, input_size=(32, 32))
         path = tmp_path / "model.ck"
-        save_checkpoint([("w", Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))], cfg, path)
+        save_checkpoint({"w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))}, cfg, path)
         blob = bytearray(path.read_bytes())
         blob[-6] ^= 0xFF  # a payload byte of the last entry
         path.write_bytes(bytes(blob))
@@ -279,7 +278,7 @@ class TestCheckpoint:
     def test_version_mismatch_mentions_resave(self, tmp_path):
         cfg = NetworkConfig()
         path = tmp_path / "model.ck"
-        save_checkpoint([], cfg, path)
+        save_checkpoint({}, cfg, path)
         blob = bytearray(path.read_bytes())
         blob[8] = 9  # bump the little-endian version field
         path.write_bytes(bytes(blob))
@@ -289,7 +288,7 @@ class TestCheckpoint:
     def test_truncation_detected(self, tmp_path):
         cfg = NetworkConfig()
         path = tmp_path / "model.ck"
-        save_checkpoint([("w", Tensor(np.ones((4, 4), dtype=np.float32)))], cfg, path)
+        save_checkpoint({"w": Tensor(np.ones((4, 4), dtype=np.float32))}, cfg, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 9])
         with pytest.raises(CheckpointError, match="truncated"):
@@ -302,7 +301,7 @@ class TestCheckpoint:
     )
     def test_bad_config_blob_is_checkpoint_error(self, tmp_path, blob):
         path = tmp_path / "model.ck"
-        save_checkpoint([], NetworkConfig(), path)
+        save_checkpoint({}, NetworkConfig(), path)
         data = path.read_bytes()
         (cfg_len,) = struct.unpack("<I", data[12:16])
         path.write_bytes(data[:12] + struct.pack("<I", len(blob)) + blob + data[16 + cfg_len :])
@@ -311,19 +310,13 @@ class TestCheckpoint:
 
     def test_undecodable_entry_name_is_checkpoint_error(self, tmp_path):
         path = tmp_path / "model.ck"
-        save_checkpoint([("w", Tensor(np.ones(2, dtype=np.float32)))], NetworkConfig(), path)
+        save_checkpoint({"w": Tensor(np.ones(2, dtype=np.float32))}, NetworkConfig(), path)
         data = bytearray(path.read_bytes())
         (cfg_len,) = struct.unpack("<I", data[12:16])
         data[16 + cfg_len + 4 + 2] = 0xFF  # the one byte of the name "w"
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError, match="bad entry name"):
             load_checkpoint(path)
-
-    def test_duplicate_names_rejected_on_save(self, tmp_path):
-        cfg = NetworkConfig()
-        t = Tensor(np.ones(2, dtype=np.float32))
-        with pytest.raises(CheckpointError, match="duplicate"):
-            save_checkpoint([("w", t), ("w", t)], cfg, tmp_path / "x.ck")
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39])
     def test_non_finite_entry_rejected_on_save_and_nothing_written(self, tmp_path, value):
@@ -332,16 +325,16 @@ class TestCheckpoint:
         path = tmp_path / "x.ck"
         path.write_bytes(b"previous")
         with pytest.raises(NumericalError, match="'head.b' holds NaN, infinite or beyond float32 range"):
-            save_checkpoint([("w", good), ("head.b", bad)], NetworkConfig(), path)
+            save_checkpoint({"w": good, "head.b": bad}, NetworkConfig(), path)
         assert path.read_bytes() == b"previous"
         with pytest.raises(NumericalError):
-            save_checkpoint([("head.b", bad)], NetworkConfig(), tmp_path / "new.ck")
+            save_checkpoint({"head.b": bad}, NetworkConfig(), tmp_path / "new.ck")
         assert not (tmp_path / "new.ck").exists()
 
     def test_empty_parameter_list_round_trips(self, tmp_path):
         cfg = NetworkConfig()
         path = tmp_path / "empty.ck"
-        save_checkpoint([], cfg, path)
+        save_checkpoint({}, cfg, path)
         entries, cfg2 = load_checkpoint(path)
         assert entries == {}
         assert cfg2 == cfg
@@ -365,6 +358,13 @@ class TestManifest:
         path = tmp_path / "manifest.txt"
         path.write_text("\nonly_one_field\n")
         with pytest.raises(DataFormatError, match="manifest line 2 must be 'image<TAB>mask'"):
+            load_manifest_samples(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n   \n"], ids=["no_lines", "blank_lines"])
+    def test_manifest_without_samples_rejected_naming_it(self, tmp_path, text):
+        path = tmp_path / "manifest.txt"
+        path.write_text(text)
+        with pytest.raises(DataFormatError, match=f"no image<TAB>mask lines in {path}"):
             load_manifest_samples(path)
 
     def test_pair_of_different_sizes_names_its_line(self, tmp_path):

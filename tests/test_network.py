@@ -1,10 +1,13 @@
 """Network assembly: backbone strides, encoder toggles, decoder fusion, loss."""
 
 import gc
+import json
 import math
 import re
 import tracemalloc
+import zlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +23,14 @@ from rrnet.network import (
     decode_fuse,
     encode,
     init_network_params,
+    param_shapes,
     predict,
 )
 from rrnet.tensor import Tensor, conv2d, relu
+
+# per entry of init_network_params(cfg, 0): [shape, crc32 of the float32 bytes],
+# recorded from the per-module parameter classes the flat table replaced
+INIT_DIGESTS = json.loads((Path(__file__).parent / "init_digests.json").read_text())
 
 TINY = dict(stage_channels=(3, 4, 6, 6, 6), decoder_width=6, input_size=(64, 64))
 
@@ -75,6 +83,32 @@ class TestConfig:
             NetworkConfig.from_text("bogus=1\n")
 
 
+class TestParamTable:
+    @staticmethod
+    def digests(cfg):
+        params = init_network_params(cfg, 0)
+        assert all(t.dtype == np.float32 and t.requires_grad for t in params.values())
+        return {name: [list(t.shape), zlib.crc32(t.data.tobytes())] for name, t in params.items()}
+
+    @pytest.mark.parametrize("reasoning", REASONING_CHOICES)
+    @pytest.mark.parametrize("pma", PMA_CHOICES)
+    def test_every_setting_draws_the_recorded_values(self, pma, reasoning):
+        cfg = NetworkConfig(input_size=(64, 64), pma=pma, reasoning=reasoning)
+        assert self.digests(cfg) == INIT_DIGESTS["64x64 nonlocal" if reasoning == "nonlocal" else "64x64"]
+
+    def test_non_square_input_draws_the_recorded_values(self):
+        assert self.digests(NetworkConfig(input_size=(64, 96))) == INIT_DIGESTS["64x96"]
+
+    def test_tensors_follow_the_table(self):
+        cfg = tiny_cfg(input_size=(64, 96), reasoning="nonlocal")
+        shapes = param_shapes(cfg)
+        params = init_network_params(cfg, 0)
+        assert list(params) == list(shapes)
+        assert all(params[name].shape == shape for name, shape in shapes.items())
+        assert list(shapes)[-1] == "nonlocal.s5.out_b"
+        assert shapes["rr.s3.channel.theta"] == (8 * 12, 8 * 12)
+
+
 class TestBackbone:
     def test_224_stage_sizes(self, rng):
         cfg = NetworkConfig(stage_channels=(2, 2, 2, 2, 2), input_size=(224, 224))
@@ -109,9 +143,10 @@ class TestEncode:
         params = init_network_params(cfg, seed=3)
         img = make_image(rng)
         h = img
-        for stage, f in zip(params.stages, encode(img, params, cfg)):
-            for i, c in enumerate(stage):
-                h = relu(conv2d(h, c.w, c.b, stride=2 if i == 0 else 1))
+        for s, f in enumerate(encode(img, params, cfg), start=1):
+            for i in range(3):
+                w, b = params[f"backbone.s{s}.c{i}.w"], params[f"backbone.s{s}.c{i}.b"]
+                h = relu(conv2d(h, w, b, stride=2 if i == 0 else 1))
             assert np.array_equal(f.data, h.data)
 
     def test_reasoned_stages_differ_and_feed_forward(self, rng):
@@ -141,21 +176,18 @@ class TestEncode:
 
 class TestDecodeFuse:
     def test_zero_attention_equals_ungated_path(self, rng):
-        from rrnet.attention import ConvParams
-
         f_d = Tensor(rng.standard_normal((4, 4, 6)).astype(np.float32))
         f_e = Tensor(rng.standard_normal((8, 8, 4)).astype(np.float32))
-        conv = ConvParams(
-            w=Tensor(rng.standard_normal((3, 3, 10, 6)).astype(np.float32)),
-            b=Tensor(np.zeros(6, dtype=np.float32)),
-        )
+        conv = {
+            "w": Tensor(rng.standard_normal((3, 3, 10, 6)).astype(np.float32)),
+            "b": Tensor(np.zeros(6, dtype=np.float32)),
+        }
         a0 = Tensor(np.zeros((8, 8), dtype=np.float32))
         gated = decode_fuse(f_d, f_e, a0, conv)
         plain = decode_fuse(f_d, f_e, None, conv)
         assert np.array_equal(gated.data, plain.data)
 
     def test_unit_attention_doubles_upsampled_features(self, rng):
-        from rrnet.attention import ConvParams
         from rrnet.tensor import upsample2x
 
         f_d = Tensor(rng.standard_normal((4, 4, 2)), dtype=np.float64)
@@ -163,39 +195,35 @@ class TestDecodeFuse:
         # identity-ish conv impossible in one tap across 5 channels; check the
         # concat input instead by a linear probe: conv with known weights
         w = rng.standard_normal((3, 3, 5, 2))
-        conv = ConvParams(w=Tensor(w, dtype=np.float64), b=Tensor(np.zeros(2), dtype=np.float64))
+        conv = {"w": Tensor(w, dtype=np.float64), "b": Tensor(np.zeros(2), dtype=np.float64)}
         ones = Tensor(np.ones((8, 8), dtype=np.float64))
         gated = decode_fuse(f_d, f_e, ones, conv).data
         from rrnet.tensor import concat, conv2d
 
         doubled = conv2d(
-            concat([upsample2x(f_d) * 2.0, f_e], axis=2), conv.w, conv.b
+            concat([upsample2x(f_d) * 2.0, f_e], axis=2), conv["w"], conv["b"]
         ).data
         assert np.abs(gated - doubled).max() < 1e-12
 
     def test_matches_per_element_oracle(self, rng):
-        from rrnet.attention import ConvParams
-
         f_d = Tensor(rng.standard_normal((2, 2, 2)), dtype=np.float64)
         f_e = Tensor(rng.standard_normal((4, 4, 3)), dtype=np.float64)
         a_f = Tensor(rng.uniform(size=(4, 4)), dtype=np.float64)
         w = rng.standard_normal((1, 1, 5, 2))
-        conv = ConvParams(w=Tensor(w, dtype=np.float64), b=Tensor(rng.standard_normal(2), dtype=np.float64))
+        conv = {"w": Tensor(w, dtype=np.float64), "b": Tensor(rng.standard_normal(2), dtype=np.float64)}
         got = decode_fuse(f_d, f_e, a_f, conv).data
         up = np.repeat(np.repeat(f_d.data, 2, 0), 2, 1)
         for i in range(4):
             for j in range(4):
                 vec = np.concatenate([up[i, j] * (a_f.data[i, j] + 1.0), f_e.data[i, j]])
-                expect = vec @ w[0, 0] + conv.b.data
+                expect = vec @ w[0, 0] + conv["b"].data
                 assert np.abs(got[i, j] - expect).max() < 1e-12
 
     def test_size_contracts(self, rng):
-        from rrnet.attention import ConvParams
-
-        conv = ConvParams(
-            w=Tensor(np.zeros((3, 3, 5, 2), dtype=np.float32)),
-            b=Tensor(np.zeros(2, dtype=np.float32)),
-        )
+        conv = {
+            "w": Tensor(np.zeros((3, 3, 5, 2), dtype=np.float32)),
+            "b": Tensor(np.zeros(2, dtype=np.float32)),
+        }
         f_d = Tensor(np.zeros((4, 4, 2), dtype=np.float32))
         bad_e = Tensor(np.zeros((6, 6, 3), dtype=np.float32))
         with pytest.raises(ValueError, match="exactly 2x"):
@@ -267,7 +295,7 @@ class TestPredict:
         label = (rng.uniform(size=(64, 64)) < 0.4).astype(np.float32)
         loss = balanced_bce_loss(predict(img, params, cfg_off).map, label)
         loss.backward()
-        for name, p in params.named_parameters():
+        for name, p in params.items():
             g = np.abs(p.grad).max()
             if name.startswith(("rr.", "pma.", "nonlocal.")):
                 assert g == 0.0, name

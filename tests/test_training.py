@@ -16,7 +16,7 @@ class TestTrainModel:
         settings = TrainSettings(iterations=3, batch_size=2, seed=5)
         r1 = train_model(samples, TINY, settings)
         r2 = train_model(samples, TINY, settings)
-        for (n1, p1), (n2, p2) in zip(r1.params.named_parameters(), r2.params.named_parameters()):
+        for (n1, p1), (n2, p2) in zip(r1.params.items(), r2.params.items()):
             assert n1 == n2
             assert np.array_equal(p1.data, p2.data)
         assert r1.log == r2.log
@@ -25,8 +25,8 @@ class TestTrainModel:
         samples = synth_dataset(2, seed=1, size=32)
         r1 = train_model(samples, TINY, TrainSettings(iterations=2, batch_size=2, seed=5))
         r2 = train_model(samples, TINY, TrainSettings(iterations=2, batch_size=2, seed=6))
-        p1 = dict(r1.params.named_parameters())["head.c2.w"].data
-        p2 = dict(r2.params.named_parameters())["head.c2.w"].data
+        p1 = r1.params["head.c2.w"].data
+        p2 = r2.params["head.c2.w"].data
         assert not np.array_equal(p1, p2)
 
     def test_zero_iterations_returns_initialization_with_empty_log(self):
@@ -72,8 +72,8 @@ class TestTrainModel:
         samples = synth_dataset(1, seed=1, size=32)
         a = train_model(samples, TINY, TrainSettings(iterations=2, batch_size=2, seed=9, augment=True))
         b = train_model(samples, TINY, TrainSettings(iterations=2, batch_size=2, seed=9, augment=False))
-        pa = dict(a.params.named_parameters())["head.c2.w"].data
-        pb = dict(b.params.named_parameters())["head.c2.w"].data
+        pa = a.params["head.c2.w"].data
+        pb = b.params["head.c2.w"].data
         assert not np.array_equal(pa, pb)
 
     def test_empty_sample_list_rejected(self):
