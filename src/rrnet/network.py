@@ -17,10 +17,12 @@ from .tensor import (
     concat,
     conv2d,
     log,
+    matmul,
     mean,
     relu,
     reshape,
     sigmoid,
+    transpose,
     upsample2x,
 )
 
@@ -207,6 +209,43 @@ def _conv(x: Tensor, params: dict[str, Tensor], prefix: str, stride: int = 1) ->
     return conv2d(x, params[prefix + "w"], params[prefix + "b"], stride=stride)
 
 
+def _upsample_fold() -> np.ndarray:
+    """The 36 x 9 0/1 matrix taking a 3x3 kernel, flattened over (row, col),
+    to the four 3x3 kernels, flattened over (a, b, row, col), that act on the
+    source map at output phase (a, b) of a nearest 2x upsample."""
+    # At output row 2i + a, kernel row d reads source row i + (a + d - 1) // 2:
+    # rows i-1, i, i at phase 0 and rows i, i, i+1 at phase 1.
+    reads = np.zeros((2, 3, 3))
+    for a in range(2):
+        for d in range(3):
+            reads[a, (a + d - 1) // 2 + 1, d] = 1.0
+    return np.einsum("ard,bse->abrsde", reads, reads).reshape(36, 9)
+
+
+_UPSAMPLE_FOLD = _upsample_fold()
+_UPSAMPLE_FOLD.setflags(write=False)  # shared by every head's Tensor wrapper
+
+
+def _upsample_conv(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """conv2d(upsample2x(x), w, b) for a 3x3 kernel, without the 2H x 2W input.
+
+    A 3x3 conv on a nearest 2x upsampled map is, at each of the four output
+    phases, a 3x3 conv on the source map whose taps sum the kernel taps that
+    read the same source pixel; the zero padding of the upsampled map falls on
+    the zero padding of the source. So one conv at H x W with the four phase
+    kernels stacked as 4*Cout output channels, then depth-to-space, gives the
+    same map. The stacked kernel is built from w in every forward pass.
+    """
+    w, b = params[prefix + "w"], params[prefix + "b"]
+    _, _, cin, cout = w.shape
+    w4 = matmul(Tensor(_UPSAMPLE_FOLD, dtype=w.dtype), reshape(w, (9, cin * cout)))
+    w4 = transpose(reshape(w4, (2, 2, 3, 3, cin, cout)), (2, 3, 4, 0, 1, 5))
+    y = conv2d(x, reshape(w4, (3, 3, cin, 4 * cout)), concat([b] * 4, axis=0))
+    h, wd = x.shape[:2]
+    y = transpose(reshape(y, (h, wd, 2, 2, cout)), (0, 2, 1, 3, 4))
+    return reshape(y, (2 * h, 2 * wd, cout))
+
+
 def _check_image(image: Tensor) -> None:
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected an HxWx3 image, got shape {image.shape}")
@@ -279,12 +318,11 @@ def predict(image: Tensor, params: dict[str, Tensor], cfg: NetworkConfig) -> Sal
         if s in (2, 3) and cfg.pma != "none":
             a_f = A.pma(f_e, _scope(params, f"pma.s{s - 1}."), branch=cfg.pma)
         f_d = decode_fuse(f_d, f_e, a_f, _scope(params, f"decoder.s{s}."))
-    # the first head conv runs at stage-1 resolution; the remaining two run
-    # after the 2x upsample so the map is refined at input resolution
-    # (a block-constant map cannot reach the acceptance F-measure targets)
+    # the head: a 3x3 conv at stage-1 resolution, a 2x upsample and a 3x3
+    # conv, then a 1x1 conv to the map at input resolution; the upsample and
+    # the second 3x3 conv run folded at stage-1 resolution (_upsample_conv)
     h = relu(_conv(f_d, params, "head.c0."))
-    h = upsample2x(h)
-    h = relu(_conv(h, params, "head.c1."))
+    h = relu(_upsample_conv(h, params, "head.c1."))
     m = sigmoid(_conv(h, params, "head.c2."))
     return SaliencyPrediction(map=reshape(m, m.shape[:2]))
 

@@ -1,4 +1,4 @@
-"""Network assembly: backbone strides, encoder toggles, decoder fusion, loss."""
+"""Network assembly: backbone strides, encoder toggles, decoder fusion, head fold, loss."""
 
 import gc
 import json
@@ -14,6 +14,8 @@ import pytest
 
 from rrnet import attention as A
 from rrnet import graph as G
+from rrnet import network as N
+from rrnet.checks import gradcheck
 from rrnet.network import (
     PMA_CHOICES,
     REASONING_CHOICES,
@@ -26,7 +28,7 @@ from rrnet.network import (
     param_shapes,
     predict,
 )
-from rrnet.tensor import Tensor, conv2d, relu
+from rrnet.tensor import Tensor, conv2d, relu, tensor_sum, upsample2x
 
 # per entry of init_network_params(cfg, 0): [shape, crc32 of the float32 bytes],
 # recorded from the per-module parameter classes the flat table replaced
@@ -232,6 +234,71 @@ class TestDecodeFuse:
         bad_a = Tensor(np.zeros((4, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="attention map"):
             decode_fuse(f_d, f_e, bad_a, conv)
+
+
+class TestUpsampleConv:
+    """The head's fold: a 3x3 conv on a nearest 2x upsample, run at the
+    source resolution, against the unfolded upsample2x + conv2d."""
+
+    @staticmethod
+    def leaves(rng, h, w, cin, cout, dtype):
+        def leaf(*shape):
+            return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+
+        return leaf(h, w, cin), {"c.w": leaf(3, 3, cin, cout), "c.b": leaf(cout)}
+
+    @pytest.mark.parametrize("h, w", [(3, 5), (1, 1), (4, 2)])
+    def test_float32_forward_matches_unfolded(self, rng, h, w):
+        x, p = self.leaves(rng, h, w, 2, 3, np.float32)
+        got = N._upsample_conv(x, p, "c.")
+        want = conv2d(upsample2x(x), p["c.w"], p["c.b"])
+        assert got.shape == want.shape == (2 * h, 2 * w, 3) and got.dtype == np.float32
+        assert np.abs(got.data - want.data).max() < 1e-5
+
+    @pytest.mark.parametrize("h, w", [(3, 5), (1, 1), (4, 2)])
+    def test_float64_forward_and_gradients_match_unfolded(self, rng, h, w):
+        x, p = self.leaves(rng, h, w, 2, 3, np.float64)
+        probe = Tensor(rng.standard_normal((2 * h, 2 * w, 3)), dtype=np.float64)
+        outs, grads = [], []
+        for run in (lambda: N._upsample_conv(x, p, "c."), lambda: conv2d(upsample2x(x), p["c.w"], p["c.b"])):
+            for t in (x, *p.values()):
+                t.zero_grad()
+            y = run()
+            tensor_sum(y * probe).backward()
+            outs.append(y.data)
+            grads.append([t.grad.copy() for t in (x, *p.values())])
+        assert np.abs(outs[0] - outs[1]).max() <= 1e-10
+        for g_fold, g_plain in zip(*grads):
+            assert np.abs(g_fold - g_plain).max() <= 1e-10
+
+    def test_gradcheck(self, rng):
+        x, p = self.leaves(rng, 3, 5, 2, 3, np.float64)
+        res = gradcheck(
+            lambda: tensor_sum(N._upsample_conv(x, p, "c.") ** 2.0),
+            [("x", x), ("w", p["c.w"]), ("b", p["c.b"])],
+        )
+        assert res, res
+
+    def test_predict_runs_no_wide_conv_at_input_resolution(self, rng, monkeypatch):
+        # past the stride-2 stem, every conv with a kernel wider than 1 reads
+        # at most half the input size in each direction: the head's upsample
+        # conv stays folded
+        calls = []
+        real = conv2d
+
+        def record(x, w, b=None, stride=1):
+            if stride == 1:
+                calls.append((w.shape[0], x.shape[:2]))
+            return real(x, w, b, stride=stride)
+
+        for module in (N, A):  # graph.py runs no conv
+            monkeypatch.setattr(module, "conv2d", record)
+        cfg = tiny_cfg()
+        predict(make_image(rng), init_network_params(cfg, seed=0), cfg)
+        h, w = cfg.input_size
+        assert (1, (h, w)) in calls  # the recording reaches the head's last conv
+        wide = [(k, size) for k, size in calls if k > 1]
+        assert wide and all(size[0] <= h // 2 and size[1] <= w // 2 for _, size in wide), wide
 
 
 class TestPredict:
