@@ -9,10 +9,13 @@ window buffer k*k times the size of its input.
 
 Every op records a backward closure ``backward(g)`` on a per-forward tape;
 ``g`` is the gradient that reached the op's output. Calling ``backward()`` on
-a scalar loss walks the tape once and then frees it, so a second backward
-without a fresh forward pass is rejected. A closure never holds its own
-output, so a graph dropped without a backward pass is freed by reference
-counting alone.
+a scalar loss walks the tape once and frees it as it goes: as soon as a
+node's closure has run, the node drops its closure, its gradient and its
+links to its parents, so an activation's data is freed once its last
+consumer has run, even while the caller still holds the loss. Only leaves
+keep gradients. A second backward through any spent node is rejected before
+any gradient moves. A closure never holds its own output, so a graph dropped
+without a backward pass is freed by reference counting alone.
 
 float32 is the working dtype for training and inference; all ops also run in
 float64, which the finite-difference gradient checks rely on.
@@ -60,6 +63,10 @@ class NumericalError(RuntimeError):
 
 
 _grad_enabled = True
+
+# Stands in for the parents of a node whose closure has run, so the parents
+# can be freed while a second backward through the node is still rejected.
+_SPENT = object()
 
 
 class no_grad:
@@ -112,11 +119,16 @@ class Tensor:
 
     @property
     def grad(self):
-        """Accumulated gradient; reads as zeros when nothing reached it.
+        """Accumulated gradient of a leaf; reads as zeros when nothing reached it.
 
-        The array may be shared with other tensors' gradients or be a
-        read-only broadcast view, so treat it as read-only.
+        Only leaves keep gradients: ``backward`` frees a non-leaf's gradient
+        once the non-leaf's closure has run, so reading ``grad`` on a tensor
+        an op produced raises RuntimeError. The array may be shared with
+        other tensors' gradients or be a read-only broadcast view, so treat
+        it as read-only.
         """
+        if self._prev:
+            raise RuntimeError("only leaf tensors keep gradients")
         if self._grad is None and self.requires_grad:
             self._grad = np.zeros_like(self.data)
         return self._grad
@@ -133,7 +145,11 @@ class Tensor:
     # -- autodiff ------------------------------------------------------------
 
     def backward(self) -> None:
-        """Reverse-mode pass from a scalar loss through the recorded tape."""
+        """Reverse-mode pass from a scalar loss through the recorded tape.
+
+        Each node is released as soon as its closure has run; see the module
+        docstring.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -147,7 +163,7 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            if node._prev and node._backward is None:
+            if node._prev is _SPENT:
                 raise RuntimeError(
                     "graph already backpropagated; rerun the forward pass before calling backward() again"
                 )
@@ -156,10 +172,13 @@ class Tensor:
                 if id(parent) not in seen:
                     stack.append((parent, False))
         self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward is not None:
                 node._backward(node._grad)
-                node._backward = None  # free the tape
+                node._backward = None
+                node._grad = None
+                node._prev = _SPENT
 
     def _accumulate(self, g) -> None:
         # g may be shared (add's backward hands one array to both operands),
@@ -500,8 +519,10 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     zero-padded input with that tap's Cin x Cout weights, accumulated into the
     output. The backward pass walks the same taps once: each tap gives its
     slice of the weight gradient and scatter-adds its share of the input
-    gradient into a padded buffer. The tape holds only the padded input,
-    never a k*k times larger window copy.
+    gradient into a padded buffer. The tape keeps no array of its own, only
+    references to the input and kernel tensors; backward pads the input
+    again when it needs the weight gradient, and that copy lives only while
+    the closure runs.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 3:
@@ -539,8 +560,12 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(h_out * w_out, cout)
-        gw = np.empty_like(kernel) if w.requires_grad else None
-        gxp = np.zeros_like(xp) if x.requires_grad else None
+        gw = gxp = None
+        if w.requires_grad:
+            gw = np.empty_like(kernel)
+            xp = _pad2d(x.data, pt, pb, pl, pr)
+        if x.requires_grad:
+            gxp = np.zeros((h + pt + pb, wd + pl + pr, cin), dtype=x.dtype)
         for di, dj, win in taps:
             if gw is not None:
                 gw[di, dj] = xp[win].reshape(-1, cin).T @ g2

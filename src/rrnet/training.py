@@ -56,6 +56,7 @@ def _batch_loss(
             raise NumericalError(f"non-finite loss on sample '{sample.id}'")
         if with_grad:
             loss.backward()
+        del pred, loss  # free this sample's graph before the next forward
         total += value
     return total / len(batch)
 

@@ -46,12 +46,30 @@ class TestBackwardBasics:
 
     def test_backward_through_shared_subgraph_rejected_after_free(self, rng):
         x = leaf(rng, 3)
+        z = leaf(rng, 3)
         y = x * 2.0
         loss1 = T.tensor_sum(y)
-        loss2 = T.tensor_sum(y * y)
+        # z * 3.0 comes first, so the walk reaches z before the spent y
+        loss2 = T.tensor_sum(z * 3.0 + y * y)
         loss1.backward()
+        x_grad, z_grad = x.grad.copy(), z.grad.copy()
         with pytest.raises(RuntimeError, match="rerun the forward"):
             loss2.backward()
+        assert np.array_equal(x.grad, x_grad)
+        assert np.array_equal(z.grad, z_grad)
+
+    def test_only_leaves_keep_gradients(self, rng):
+        x = leaf(rng, 3)
+        y = x * 2.0
+        loss = T.tensor_sum(y * y)
+        with pytest.raises(RuntimeError, match="only leaf tensors"):
+            y.grad
+        loss.backward()
+        assert y._grad is None  # freed, though the caller still holds y
+        for t in (y, loss):
+            with pytest.raises(RuntimeError, match="only leaf tensors"):
+                t.grad
+        assert np.array_equal(x.grad, 8.0 * x.data)
 
     def test_off_path_tensor_gets_zero_gradient(self, rng):
         x = leaf(rng, 4)

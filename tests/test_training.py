@@ -1,10 +1,15 @@
-"""Training-loop behavior: determinism, logging shape, NaN detection."""
+"""Training-loop behavior: determinism, logging shape, NaN detection, memory."""
+
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from rrnet import training
 from rrnet.dataio import synth_dataset
-from rrnet.network import NetworkConfig
+from rrnet.network import NetworkConfig, balanced_bce_loss, init_network_params, predict
+from rrnet.tensor import Tensor, no_grad
 from rrnet.training import TrainSettings, train_model
 
 TINY = NetworkConfig(stage_channels=(2, 2, 3, 3, 3), decoder_width=4, input_size=(32, 32))
@@ -43,8 +48,6 @@ class TestTrainModel:
 
     def test_pool_loss_decreases(self):
         from rrnet.dataio import augment7, resize_sample
-        from rrnet.network import balanced_bce_loss, init_network_params, predict
-        from rrnet.tensor import Tensor, no_grad
 
         samples = synth_dataset(4, seed=3, size=32)
         pool = [resize_sample(v, (32, 32)) for s in samples for v in augment7(s)]
@@ -79,6 +82,52 @@ class TestTrainModel:
     def test_empty_sample_list_rejected(self):
         with pytest.raises(ValueError, match="no training samples"):
             train_model([], TINY, TrainSettings(iterations=1))
+
+
+class TestMemory:
+    def test_backward_frees_the_tape_as_it_walks(self):
+        # one 64 px sample of the default network; tracemalloc counts only
+        # what is allocated after it starts, so parameters are not included
+        cfg = NetworkConfig(input_size=(64, 64))
+        params = init_network_params(cfg, seed=0)
+        sample = synth_dataset(1, seed=0, size=64)[0]
+        image = Tensor(sample.image)
+        tracemalloc.start()
+        try:
+            pred = predict(image, params, cfg)
+            loss = balanced_bce_loss(pred.map, sample.mask)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            after_backward, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        param_bytes = sum(p.data.nbytes for p in params.values())
+        grad_bytes = sum(p.grad.nbytes for p in params.values())
+        # pred and loss are still referenced, yet only the leaf gradients,
+        # the map and under 0.5 MiB of small objects may stay
+        assert after_backward <= grad_bytes + pred.map.data.nbytes + 2**19
+        assert backward_peak < after_forward + param_bytes
+
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_batch_loss_frees_each_sample_before_the_next_forward(self, monkeypatch, with_grad):
+        maps = []
+
+        def recording_predict(image, params, cfg):
+            assert all(ref() is None for ref in maps), "the previous sample's map is still alive"
+            pred = predict(image, params, cfg)
+            maps.append(weakref.ref(pred.map.data))
+            return pred
+
+        monkeypatch.setattr(training, "predict", recording_predict)
+        batch = synth_dataset(3, seed=1, size=32)
+        params = init_network_params(TINY, seed=2)
+        if with_grad:
+            training._batch_loss(batch, params, TINY, with_grad=True)
+        else:
+            with no_grad():
+                training._batch_loss(batch, params, TINY, with_grad=False)
+        assert len(maps) == 3
 
 
 class TestTrainSettings:
