@@ -139,6 +139,9 @@ def op_cases(rng):
     yield "conv2d_stride2", lambda: conv((6, 6, 2), (3, 3, 2, 2), stride=2)
     yield "conv2d_stride2_odd", lambda: conv((7, 5, 2), (3, 3, 2, 2), stride=2)
     yield "conv2d_k1_stride2", lambda: conv((5, 5, 3), (1, 1, 3, 2), stride=2)
+    yield "conv2d_k3_nonsquare_bias", lambda: conv((4, 7, 3), (3, 3, 3, 2), bias=True)
+    yield "conv2d_k5_stride2_odd", lambda: conv((7, 7, 2), (5, 5, 2, 3), stride=2)
+    yield "conv2d_k7_stride2", lambda: conv((6, 5, 2), (7, 7, 2, 2), stride=2)
     yield "relu", lambda: unary(T.relu, (4, 4))
     yield "sigmoid", lambda: unary(T.sigmoid, (4, 4))
     yield "softmax", lambda: unary(T.softmax, (4, 5))

@@ -3,9 +3,13 @@
 The engine is deliberately small: it covers exactly the operator set the
 network needs (elementwise arithmetic, matmul, concatenation, reshapes,
 same-padded convolution, the pooling variants and the two activations).
-Convolution is one matmul per kernel tap over shifted views of the padded
-input, in the forward pass and in both gradients, so it never builds a
-window buffer k*k times the size of its input.
+The forward pass of a convolution is one matmul per kernel tap over shifted
+views of the padded input. Its backward pass lays the output gradient on the
+flattened padded input, where each tap reads one evenly spaced run of rows:
+the weight gradient of all taps is one matmul over a strided view of those
+runs, and the input gradient adds one matmul per tap into a flat buffer. No
+tap copies its window, and neither pass builds a buffer k*k times the size of
+its input.
 
 Every op records a backward closure ``backward(g)`` on a per-forward tape;
 ``g`` is the gradient that reached the op's output. Calling ``backward()`` on
@@ -26,6 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Tensor",
@@ -362,6 +367,9 @@ def concat(tensors: Iterable[Tensor], axis: int) -> Tensor:
     if not ts:
         raise ValueError("concat needs at least one operand")
     ref = ts[0].shape
+    if not -len(ref) <= axis < len(ref):
+        raise ValueError(f"concat axis {axis} is out of range for rank {len(ref)}")
+    axis %= len(ref)
     for t in ts[1:]:
         if t.ndim != len(ref) or any(
             i != axis and t.shape[i] != ref[i] for i in range(t.ndim)
@@ -514,15 +522,23 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution of an H x W x Cin map with a k x k x Cin x Cout kernel.
 
     stride 1 preserves the spatial size; stride 2 halves it (the backbone's
-    downsampling mode). Every kernel size and stride runs the same loop over
-    the k*k taps: each tap is one matmul of a shifted, strided view of the
-    zero-padded input with that tap's Cin x Cout weights, accumulated into the
-    output. The backward pass walks the same taps once: each tap gives its
-    slice of the weight gradient and scatter-adds its share of the input
-    gradient into a padded buffer. The tape keeps no array of its own, only
-    references to the input and kernel tensors; backward pads the input
-    again when it needs the weight gradient, and that copy lives only while
-    the closure runs.
+    downsampling mode). The forward pass runs the same loop over the k*k taps
+    for every kernel size and stride: each tap is one matmul of a shifted,
+    strided view of the zero-padded input with that tap's Cin x Cout weights,
+    accumulated into the output through one reused output-sized temporary.
+
+    The backward pass lays the output gradient out at the padded input's
+    width ``wp``: output pixel (i, j) becomes row ``p = i*wp + j`` of an
+    ``(n, Cout)`` matrix ``gf``, which is zero in the columns past the map's
+    right edge. Kernel tap (di, dj) reads that pixel's input from row
+    ``off + stride*p`` of the flattened padded input, ``off = di*wp + dj``,
+    so the windows of one tap are one evenly spaced run of rows. The weight
+    gradient of all k*k taps is then one matmul over a read-only strided view
+    of those runs, and each tap adds ``gf @ K[di, dj].T`` into its run of a
+    flat padded input-gradient buffer. No tap copies a window. The tape keeps
+    no array of its own, only references to the input and kernel tensors;
+    backward pads the input again when it needs the weight gradient, and
+    that copy lives only while the weight gradient is computed.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 3:
@@ -549,34 +565,56 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     w_out, pl, pr = _same_pad(wd, k, stride)
     xp = _pad2d(x.data, pt, pb, pl, pr)
     kernel = w.data
-    taps = [(di, dj, _tap(di, dj, h_out, w_out, stride)) for di in range(k) for dj in range(k)]
-    out_data = np.zeros((h_out, w_out, cout), dtype=np.result_type(xp, kernel))
-    for di, dj, win in taps:
-        out_data += xp[win] @ kernel[di, dj]
+    wins = [_tap(di, dj, h_out, w_out, stride) for di in range(k) for dj in range(k)]
+    taps = kernel.reshape(k * k, cin, cout)
+    out_data = xp[wins[0]] @ taps[0]
+    if k > 1:
+        tmp = np.empty_like(out_data)
+        for win, kt in zip(wins[1:], taps[1:]):
+            out_data += np.matmul(xp[win], kt, out=tmp)
     if b is not None:
         out_data += b.data
 
     parents = (x, w) if b is None else (x, w, b)
+    hp, wp = h + pt + pb, wd + pl + pr
+    # gf has one row per output pixel up to the last, then zero rows up to a
+    # multiple of 32: OpenBLAS's threaded and single-threaded GEMM paths block
+    # a reduction length alike only when it is a multiple of twice their
+    # kernel unroll, and the weight gradient's bytes must not depend on the
+    # BLAS thread count.
+    n = -(-((h_out - 1) * wp + w_out) // 32) * 32
+    # flat padded rows: the whole padded map, and the run of the last tap
+    rows = max(hp * wp, (k - 1) * (wp + 1) + stride * (n - 1) + 1)
+    offs = [di * wp + dj for di in range(k) for dj in range(k)]
+    inner = (slice(pt, pt + h), slice(pl, pl + wd))
+
+    def padded():
+        """A zeroed (rows, Cin) buffer, and its first hp*wp rows as the hp x wp x Cin padded map."""
+        flat = np.zeros((rows, cin), dtype=x.dtype)
+        return flat, flat[: hp * wp].reshape(hp, wp, cin)
+
+    def tap_windows():
+        """The k x k x Cin x n read-only view of the runs of rows that the taps
+        read from a flat padded copy of the input; the copy lives as long as the view."""
+        flat, grid = padded()
+        grid[inner] = x.data
+        row, col = flat.strides
+        return as_strided(flat, (k, k, cin, n), (wp * row, row, col, stride * row), writeable=False)
 
     def backward(g):
-        g2 = g.reshape(h_out * w_out, cout)
-        gw = gxp = None
+        gf = np.zeros((max(n, h_out * wp), cout), dtype=g.dtype)
+        gf[: h_out * wp].reshape(h_out, wp, cout)[:, :w_out] = g
+        gf = gf[:n]
         if w.requires_grad:
-            gw = np.empty_like(kernel)
-            xp = _pad2d(x.data, pt, pb, pl, pr)
-        if x.requires_grad:
-            gxp = np.zeros((h + pt + pb, wd + pl + pr, cin), dtype=x.dtype)
-        for di, dj, win in taps:
-            if gw is not None:
-                gw[di, dj] = xp[win].reshape(-1, cin).T @ g2
-            if gxp is not None:
-                gxp[win] += (g2 @ kernel[di, dj].T).reshape(h_out, w_out, cin)
-        if gw is not None:
-            w._accumulate(gw)
+            w._accumulate(np.matmul(tap_windows(), gf))
         if b is not None and b.requires_grad:
-            b._accumulate(g2.sum(axis=0))
-        if gxp is not None:
-            x._accumulate(gxp[pt : pt + h, pl : pl + wd])
+            b._accumulate(g.reshape(-1, cout).sum(axis=0))
+        if x.requires_grad:
+            gxpf, gxp = padded()
+            tmp = np.empty((n, cin), dtype=gf.dtype)
+            for off, kt in zip(offs, taps):
+                gxpf[off : off + stride * n : stride] += np.matmul(gf, kt.T, out=tmp)
+            x._accumulate(gxp[inner])
 
     return _from_op(out_data, parents, backward)
 

@@ -24,16 +24,21 @@ from rrnet.tensor import (
 )
 
 
+def _same_padding(h, wd, k, stride):
+    """Output size and top/left zero padding of a same-padded conv."""
+    h_out = -(-h // stride)
+    w_out = -(-wd // stride)
+    pad_h = max((h_out - 1) * stride + k - h, 0)
+    pad_w = max((w_out - 1) * stride + k - wd, 0)
+    return h_out, w_out, pad_h // 2, pad_w // 2
+
+
 def _loop_conv(x, w, b=None, stride=1):
     """Naive direct convolution, quadruple loop, zero same-padding."""
     h, wd, cin = x.shape
     k = w.shape[0]
     cout = w.shape[3]
-    h_out = -(-h // stride)
-    w_out = -(-wd // stride)
-    pad_h = max((h_out - 1) * stride + k - h, 0)
-    pad_w = max((w_out - 1) * stride + k - wd, 0)
-    pt, pl = pad_h // 2, pad_w // 2
+    h_out, w_out, pt, pl = _same_padding(h, wd, k, stride)
     out = np.zeros((h_out, w_out, cout), dtype=np.float64)
     for i in range(h_out):
         for j in range(w_out):
@@ -50,6 +55,24 @@ def _loop_conv(x, w, b=None, stride=1):
     return out
 
 
+def _loop_conv_grads(x, w, g, stride=1):
+    """Gradients of sum(conv2d(x, w, b, stride) * g) by x, w and b, one output pixel and tap at a time."""
+    h, wd, _ = x.shape
+    k = w.shape[0]
+    h_out, w_out, pt, pl = _same_padding(h, wd, k, stride)
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for i in range(h_out):
+        for j in range(w_out):
+            for di in range(k):
+                for dj in range(k):
+                    si = i * stride + di - pt
+                    sj = j * stride + dj - pl
+                    if 0 <= si < h and 0 <= sj < wd:
+                        gx[si, sj] += w[di, dj] @ g[i, j]
+                        gw[di, dj] += np.outer(x[si, sj], g[i, j])
+    return gx, gw, g.sum(axis=(0, 1))
+
+
 class TestPrimitives:
     def test_matmul_identity(self):
         out = matmul(Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[3.0], [4.0]]))
@@ -59,6 +82,21 @@ class TestPrimitives:
         avg = Tensor(rng.uniform(size=(5, 6, 1)))
         mx = Tensor(rng.uniform(size=(5, 6, 1)))
         assert concat([avg, mx], axis=2).shape == (5, 6, 2)
+
+    def test_concat_negative_axis(self, rng):
+        a = Tensor(rng.standard_normal((2, 3)), requires_grad=True, dtype=np.float64)
+        b = Tensor(rng.standard_normal((2, 4)), requires_grad=True, dtype=np.float64)
+        out = concat([a, b], axis=-1)
+        assert np.array_equal(out.data, np.concatenate([a.data, b.data], axis=1))
+        g = rng.standard_normal((2, 7))
+        tensor_sum(out * Tensor(g, dtype=np.float64)).backward()
+        assert np.array_equal(a.grad, g[:, :3])
+        assert np.array_equal(b.grad, g[:, 3:])
+
+    @pytest.mark.parametrize("axis", [2, -3])
+    def test_concat_axis_out_of_range_rejected(self, axis):
+        with pytest.raises(ValueError, match="out of range"):
+            concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=axis)
 
     def test_add_matches_scalar_loop(self, rng):
         a = rng.standard_normal((3, 3))
@@ -128,6 +166,35 @@ class TestConv2d:
         assert got.shape == (4, 4, 4)
         assert np.abs(got - _loop_conv(x, w, stride=2)).max() < 1e-12
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    def test_gradients_match_loop_oracle(self, rng, k, stride):
+        # odd, even and non-square maps with Cin != Cout; at k >= 3 the last
+        # map is narrower than the kernel
+        for shape, cout in (((7, 7, 3), 2), ((6, 8, 2), 3), ((5, 9, 3), 4), ((3, 2, 2), 3)):
+            arrays = {
+                "x": rng.standard_normal(shape),
+                "w": rng.standard_normal((k, k, shape[2], cout)),
+                "b": rng.standard_normal(cout),
+            }
+            h_out, w_out, _, _ = _same_padding(shape[0], shape[1], k, stride)
+            g = rng.standard_normal((h_out, w_out, cout))
+            want = dict(zip("xwb", _loop_conv_grads(arrays["x"], arrays["w"], g, stride)))
+            for grads in ("xwb", "x", "w"):
+                leaves = {
+                    name: Tensor(a.copy(), requires_grad=name in grads, dtype=np.float64)
+                    for name, a in arrays.items()
+                }
+                out = conv2d(leaves["x"], leaves["w"], leaves["b"], stride=stride)
+                tensor_sum(out * Tensor(g, dtype=np.float64)).backward()
+                for name, leaf in leaves.items():
+                    assert np.array_equal(leaf.data, arrays[name])
+                    if name in grads:
+                        assert leaf.grad.shape == want[name].shape
+                        assert np.abs(leaf.grad - want[name]).max() < 1e-12, (shape, grads, name)
+                    else:
+                        assert leaf.grad is None
+
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="odd"):
             conv2d(Tensor(np.zeros((4, 4, 1))), Tensor(np.zeros((2, 2, 1, 1))))
@@ -147,13 +214,14 @@ class TestConv2d:
         ).data
         assert np.abs(lhs - rhs).max() < 1e-10
 
-    def test_forward_backward_memory_stays_near_input_size(self, rng):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_forward_backward_memory_stays_near_input_size(self, rng, stride):
         """A 7x7 conv at 56x56x16 keeps no k*k-sized window buffer, forward or backward."""
         x = Tensor(rng.standard_normal((56, 56, 16)), requires_grad=True, dtype=np.float32)
         w = Tensor(rng.standard_normal((7, 7, 16, 16)), requires_grad=True, dtype=np.float32)
         tracemalloc.start()
         try:
-            tensor_sum(conv2d(x, w)).backward()
+            tensor_sum(conv2d(x, w, stride=stride)).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
