@@ -4,13 +4,24 @@ The left branch computes multi-scale attention maps directly from the
 two-channel pooling descriptor of the input; the right branch first extracts
 multi-scale features and then applies spatial attention to each. Both
 branches average their three scales and a 1x1 fusion conv combines them.
+
+Both branches run as one pass. The input and the three right-branch features
+are stacked on a group axis and pooled by one channel_pool call into one
+two-channel descriptor per group. One 7x7 conv then gives every attention
+map of both branches: its kernel holds each per-scale kernel at that map's
+output channel and its group's two input channels, the smaller left kernels
+zero-embedded, and zero everywhere else. The kernel is gathered from the
+per-scale parameters in every forward pass, so parameter names, shapes and
+initialization are those of the per-scale module. One sigmoid and one
+per-branch sum over the three scales give the H x W x 2 input of the fusion
+conv.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, channel_pool, concat, conv2d, relu, reshape, sigmoid, tensor_sum
+from .tensor import Tensor, channel_pool, concat, conv2d, relu, reshape, sigmoid, take_rows, tensor_sum
 
 __all__ = [
     "SCALES",
@@ -24,6 +35,7 @@ __all__ = [
 ]
 
 SCALES = (3, 5, 7)
+ATT_SIZE = 7  # the attention convs' kernel size, which holds every left kernel
 
 
 def conv_shapes(k: int, cin: int, cout: int, prefix: str = "") -> dict[str, tuple[int, ...]]:
@@ -44,7 +56,7 @@ def pma_shapes(channels: int) -> dict[str, tuple[int, ...]]:
     for k in SCALES:
         shapes |= conv_shapes(k, c, c, f"right.k{k}.")
     for k in SCALES:
-        shapes |= conv_shapes(7, 2, 1, f"att.k{k}.")
+        shapes |= conv_shapes(ATT_SIZE, 2, 1, f"att.k{k}.")
     return shapes | conv_shapes(1, 2, 1, "fuse.")
 
 
@@ -52,45 +64,57 @@ def pma_shapes(channels: int) -> dict[str, tuple[int, ...]]:
 descriptor = channel_pool
 
 
-def _zero_pad(w: Tensor, axis: int, before: int, after: int) -> Tensor:
-    """w between zero blocks of `before` and `after` slices along one axis."""
+def _attention_kernel(p: dict[str, Tensor], branches: tuple[str, ...]) -> tuple[Tensor, Tensor]:
+    """The one 7 x 7 x 2G x 3B attention conv of the branches, and its bias.
 
-    def zeros(n):
-        shape = list(w.shape)
-        shape[axis] = n
-        return Tensor(np.zeros(shape, dtype=w.dtype))
+    Output channel 3*b + j is branch b's scale j. It reads the two descriptor
+    channels of its group: the left branch's group is the input (group 0),
+    and the right branch's groups follow, one per scale. The kernel is one
+    gather from the flattened per-scale kernels and a trailing zero.
+    """
+    convs = []  # (parameter prefix, kernel size, group) per output channel
+    if "left" in branches:
+        convs += [(f"left.k{k}.", k, 0) for k in SCALES]
+    if "right" in branches:
+        first = len(convs) // len(SCALES)
+        convs += [(f"att.k{k}.", ATT_SIZE, first + j) for j, k in enumerate(SCALES)]
+    groups = convs[-1][2] + 1
+    idx = np.full((ATT_SIZE, ATT_SIZE, 2 * groups, len(convs)), sum(2 * k * k for _, k, _ in convs))
+    start = 0
+    for o, (_, k, g) in enumerate(convs):
+        q = (ATT_SIZE - k) // 2
+        idx[q : q + k, q : q + k, 2 * g : 2 * g + 2, o] = start + np.arange(2 * k * k).reshape(k, k, 2)
+        start += 2 * k * k
+    ws = [reshape(p[pre + "w"], (-1,)) for pre, _, _ in convs]
+    flat = concat(ws + [Tensor(np.zeros(1, dtype=ws[0].dtype))], axis=0)
+    bias = concat([p[pre + "b"] for pre, _, _ in convs], axis=0)
+    return take_rows(flat, idx), bias
 
-    return concat([zeros(before), w, zeros(after)], axis=axis)
+
+def _branch_maps(x: Tensor, p: dict[str, Tensor], branches: tuple[str, ...]) -> Tensor:
+    """The branches' attention maps, each averaged over its three scales, as
+    H x W x B. branches is ("left",), ("right",) or ("left", "right")."""
+    h, w, c = x.shape
+    stack = [x] if "left" in branches else []
+    if "right" in branches:
+        stack += [relu(conv2d(x, p[f"right.k{k}.w"], p[f"right.k{k}.b"])) for k in SCALES]
+    d = channel_pool(reshape(concat(stack, axis=2), (h, w, len(stack), c)))
+    maps = sigmoid(conv2d(d, *_attention_kernel(p, branches)))
+    return tensor_sum(reshape(maps, (h, w, len(branches), len(SCALES))), axis=3) * (1.0 / 3.0)
 
 
 def left_branch(x: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Multi-scale attention on the single-scale descriptor, H x W map.
-
-    The per-scale 2 -> 1 kernels, zero-embedded in the largest one, run as
-    one 2 -> 3 conv, built from the parameters in every forward pass.
-    """
-    ws = [p[f"left.k{k}.w"] for k in SCALES]
-    size = max(w.shape[0] for w in ws)
-    pads = [(size - w.shape[0]) // 2 for w in ws]
-    w = concat([_zero_pad(_zero_pad(w, 0, q, q), 1, q, q) for w, q in zip(ws, pads)], axis=3)
-    b = concat([p[f"left.k{k}.b"] for k in SCALES], axis=0)
-    return tensor_sum(sigmoid(conv2d(descriptor(x), w, b)), axis=2) * (1.0 / 3.0)
+    """Multi-scale attention on the single-scale descriptor, H x W map."""
+    return reshape(_branch_maps(x, p, ("left",)), x.shape[:2])
 
 
 def right_branch(x: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Spatial attention on multi-scale features, averaged into one H x W map.
+    """Spatial attention on multi-scale features, averaged into one H x W map."""
+    return reshape(_branch_maps(x, p, ("right",)), x.shape[:2])
 
-    The per-scale attention convs run as one 6 -> 3 conv over the three
-    stacked descriptors, with a block-diagonal kernel: output j reads only
-    descriptor j.
-    """
-    d = concat(
-        [descriptor(relu(conv2d(x, p[f"right.k{k}.w"], p[f"right.k{k}.b"]))) for k in SCALES], axis=2
-    )
-    n = len(SCALES)
-    w = concat([_zero_pad(p[f"att.k{k}.w"], 2, 2 * j, 2 * (n - 1 - j)) for j, k in enumerate(SCALES)], axis=3)
-    b = concat([p[f"att.k{k}.b"] for k in SCALES], axis=0)
-    return tensor_sum(sigmoid(conv2d(d, w, b)), axis=2) * (1.0 / 3.0)
+
+def _fuse(maps: Tensor, p: dict[str, Tensor]) -> Tensor:
+    return reshape(sigmoid(conv2d(maps, p["fuse.w"], p["fuse.b"])), maps.shape[:2])
 
 
 def fuse_maps(a_l: Tensor, a_r: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -98,18 +122,14 @@ def fuse_maps(a_l: Tensor, a_r: Tensor, p: dict[str, Tensor]) -> Tensor:
     if a_l.shape != a_r.shape:
         raise ValueError(f"attention maps must share a shape, got {a_l.shape} and {a_r.shape}")
     h, w = a_l.shape
-    stacked = concat([reshape(a_l, (h, w, 1)), reshape(a_r, (h, w, 1))], axis=2)
-    return reshape(sigmoid(conv2d(stacked, p["fuse.w"], p["fuse.b"])), (h, w))
+    return _fuse(concat([reshape(a_l, (h, w, 1)), reshape(a_r, (h, w, 1))], axis=2), p)
 
 
 def pma(x: Tensor, p: dict[str, Tensor], branch: str = "both") -> Tensor:
     """The full module; 'left'/'right' feed a duplicated single branch to fuse."""
     if branch == "both":
-        return fuse_maps(left_branch(x, p), right_branch(x, p), p)
-    if branch == "left":
-        a = left_branch(x, p)
-        return fuse_maps(a, a, p)
-    if branch == "right":
-        a = right_branch(x, p)
-        return fuse_maps(a, a, p)
+        return _fuse(_branch_maps(x, p, ("left", "right")), p)
+    if branch in ("left", "right"):
+        a = _branch_maps(x, p, (branch,))
+        return _fuse(concat([a, a], axis=2), p)
     raise ValueError(f"unknown pma branch '{branch}'")

@@ -110,6 +110,8 @@ def op_cases(rng):
     leaves, which is what finite differencing needs.
     """
 
+    from .graph import crr, graph_reason, reasoning_shapes, srr
+
     def binary(op, sa, sb):
         a = _leaf(rng, *sa)
         b = _leaf(rng, *sb)
@@ -124,6 +126,13 @@ def op_cases(rng):
         b = _leaf(rng, sw[3]) if bias else None
         leaves = [("x", x), ("w", w)] + ([("bias", b)] if bias else [])
         return leaves, lambda: T.tensor_sum(T.conv2d(x, w, b, stride=stride) ** 2.0)
+
+    def reasoning(op, sx, feature_dim, tie=False):
+        x = _leaf(rng, *sx)
+        if tie:  # tied rows send canonical_vertex_order down its lexsort path
+            x.data[3], x.data[5] = x.data[1], x.data[0]
+        p = {name: _leaf(rng, *shape) for name, shape in reasoning_shapes(feature_dim).items()}
+        return [("x", x)] + list(p.items()), lambda: T.tensor_sum(op(x, p) ** 2.0)
 
     yield "add", lambda: binary(T.add, (3, 4), (3, 4))
     yield "add_broadcast", lambda: binary(T.add, (3, 4), (1, 4))
@@ -150,11 +159,15 @@ def op_cases(rng):
     yield "sum_axis", lambda: unary(lambda a: T.tensor_sum(a, axis=1), (4, 5))
     yield "upsample2x", lambda: unary(T.upsample2x, (3, 4, 2))
     yield "channel_pool", lambda: unary(T.channel_pool, (3, 3, 5))
+    yield "channel_pool_groups", lambda: unary(T.channel_pool, (3, 2, 3, 4))
     yield "global_vertex_avg", lambda: unary(T.global_vertex_avg, (6, 4))
     yield "power", lambda: unary(lambda a: (a * a + 1.0) ** -0.5, (4, 4))
     yield "log_of_clip", lambda: unary(lambda a: T.log(T.clip(T.sigmoid(a), 1e-7, 1 - 1e-7)), (4, 4))
     yield "concat", lambda: binary(lambda a, b: T.concat([a, b], axis=1), (3, 2), (3, 4))
     yield "take_rows", lambda: unary(lambda a: T.take_rows(a, np.array([3, 0, 2, 2, 1])), (4, 3))
+    yield "graph_reason_srr", lambda: reasoning(srr, (3, 3, 4), 4)
+    yield "graph_reason_crr", lambda: reasoning(crr, (3, 2, 3), 6)
+    yield "graph_reason_tied_rows", lambda: reasoning(graph_reason, (6, 4), 4, tie=True)
 
 
 def _op_gradchecks(rng: np.random.Generator, trials: int) -> list[CheckResult]:

@@ -5,6 +5,12 @@ for spatial reasoning (pixels are the vertexes), its transpose for channel
 reasoning. A learned non-negative adjacency is built from projected rows of
 M, and the features are propagated through the symmetric normalized
 Laplacian followed by a trainable square weight matrix: relu(L M Theta).
+
+graph_reason records the whole pipeline as one tape op: its forward pass is
+the numpy composition of adjacency and normalized_laplacian, in the same
+order, so its bytes are theirs, and its backward pass is written out in
+closed form. adjacency and normalized_laplacian stay as the Tensor-op
+reference that the tests and the self-check compare against.
 """
 
 from __future__ import annotations
@@ -14,13 +20,13 @@ import numpy as np
 from .tensor import (
     NumericalError,
     Tensor,
+    _from_op,
     clip,
     global_vertex_avg,
     power,
     relu,
     reshape,
     softmax,
-    take_rows,
     tensor_sum,
     transpose,
 )
@@ -74,14 +80,17 @@ def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(cols)
 
 
-def adjacency(m: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Non-negative pairwise similarity of the rows (vertexes) of m, with a
-    learned diagonal metric."""
-    a2 = m.shape[1]
+def _check_feature_dim(a2: int, p: dict[str, Tensor]) -> None:
     if p["proj_w"].shape != (a2, a2) or p["theta"].shape != (a2, a2):
         raise ValueError(
             f"reasoning params sized for feature dim {p['proj_w'].shape[0]}, graph has {a2}"
         )
+
+
+def adjacency(m: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """Non-negative pairwise similarity of the rows (vertexes) of m, with a
+    learned diagonal metric."""
+    _check_feature_dim(m.shape[1], p)
     proj = relu(m @ p["proj_w"] + p["proj_b"])
     lam = relu(global_vertex_avg(m) @ p["lambda_w"] + p["lambda_b"])  # 1 x a2 diagonal
     adj = (proj * lam) @ transpose(proj)
@@ -112,12 +121,67 @@ def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
     The pipeline runs in canonical vertex order (see canonical_vertex_order)
     and the rows are put back afterwards, so results do not depend on how the
     caller happened to label the vertexes.
+
+    One tape op. The forward pass repeats, in numpy and in the same order,
+    what adjacency and normalized_laplacian compute, so its bytes equal the
+    composed Tensor pipeline's. With Q = P*lambda, A0 = Q P^T, A = (A0 +
+    A0^T)/2, s = clip(A 1, DEGREE_EPS)^(-1/2), L = I - A*(s s^T), H = L M and
+    O = H Theta, the backward pass runs the chain rule through them in
+    closed form.
     """
+    n, a2 = m.shape
+    _check_feature_dim(a2, p)
+    wp, bp, wl, bl, theta = (p[k] for k in ("proj_w", "proj_b", "lambda_w", "lambda_b", "theta"))
     order = canonical_vertex_order(m.data)
-    mc = take_rows(m, order)
-    lap = normalized_laplacian(adjacency(mc, p))
-    out = relu(lap @ mc @ p["theta"])
-    return take_rows(out, np.argsort(order))
+    inv = np.argsort(order)
+    mc = m.data[order]
+    z = mc @ wp.data + bp.data
+    proj = np.maximum(z, 0)
+    mu = mc.mean(axis=0, keepdims=True)
+    y = mu @ wl.data + bl.data
+    lam = np.maximum(y, 0)
+    adj = (proj * lam) @ proj.T
+    # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
+    adj = (adj + adj.T) * 0.5
+    if not np.isfinite(adj).all():
+        raise NumericalError("adjacency produced non-finite entries")
+    deg = adj.sum(axis=1)
+    dc = np.clip(deg, DEGREE_EPS, None)
+    s = np.power(dc, -0.5)
+    scale = s.reshape(n, 1) * s.reshape(1, n)
+    lap = np.eye(n, dtype=adj.dtype) + adj * scale * -1.0
+    h = lap @ mc
+    o = h @ theta.data
+
+    def backward(g):
+        go = g[order] * (o > 0)
+        if theta.requires_grad:
+            theta._accumulate(h.T @ go)
+        gh = go @ theta.data.T
+        gl = gh @ mc.T
+        # L = I - A*S with S = s s^T; the degree path adds dL/ddeg_i to row i
+        gs = gl * adj * -1.0
+        gdc = (gs @ s + gs.T @ s) * -0.5 * np.power(dc, -1.5)
+        ga = gl * scale * -1.0 + (gdc * (deg >= DEGREE_EPS)).reshape(n, 1)
+        ga0 = (ga + ga.T) * 0.5
+        # A0 = Q P^T with a symmetric gradient dA0: dQ = dA0 P, and
+        # dP = dA0 Q + dQ*lambda = 2 dQ*lambda, since Q = P*lambda
+        gq = ga0 @ proj
+        gy = (gq * proj).sum(axis=0, keepdims=True) * (y > 0)
+        gz = gq * lam * 2.0 * (z > 0)
+        if wl.requires_grad:
+            wl._accumulate(mu.T @ gy)
+        if bl.requires_grad:
+            bl._accumulate(gy.reshape(a2))
+        if wp.requires_grad:
+            wp._accumulate(mc.T @ gz)
+        if bp.requires_grad:
+            bp._accumulate(gz.sum(axis=0))
+        if m.requires_grad:
+            gm = lap.T @ gh + gz @ wp.data.T + (gy @ wl.data.T) / n
+            m._accumulate(gm[inv])
+
+    return _from_op(np.maximum(o, 0)[inv], (m, wp, bp, wl, bl, theta), backward)
 
 
 def _hwc(x: Tensor, name: str) -> tuple[int, int, int]:

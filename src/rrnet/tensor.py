@@ -637,7 +637,9 @@ def upsample2x(a) -> Tensor:
 
 
 def channel_pool(a) -> Tensor:
-    """Per-pixel channel mean and max, H x W x C -> H x W x 2.
+    """Per-pixel channel mean and max: H x W x C -> H x W x 2, and
+    H x W x G x C -> H x W x 2G for G groups of C channels pooled apart
+    (group g's mean and max at channels 2g and 2g + 1).
 
     One sort over the channel axis gives both: the mean sums the sorted
     values, so it does not depend on how the channels happen to be laid out,
@@ -645,22 +647,24 @@ def channel_pool(a) -> Tensor:
     argmax.
     """
     a = _wrap(a)
-    if a.ndim != 3:
-        raise ValueError(f"channel_pool needs a rank-3 HxWxC input, got shape {a.shape}")
-    c = a.shape[2]
-    srt = np.sort(a.data, axis=2)
-    data = np.empty(a.shape[:2] + (2,), dtype=a.dtype)
-    data[:, :, 0] = srt.sum(axis=2) / c
-    data[:, :, 1] = srt[:, :, -1]
+    if a.ndim not in (3, 4):
+        raise ValueError(f"channel_pool needs a rank-3 HxWxC or rank-4 HxWxGxC input, got shape {a.shape}")
+    c = a.shape[-1]
+    srt = np.sort(a.data, axis=-1)
+    pooled = np.empty(a.shape[:-1] + (2,), dtype=a.dtype)
+    pooled[..., 0] = srt.sum(axis=-1) / c
+    pooled[..., 1] = srt[..., -1]
+    shape = pooled.shape
 
     def backward(g):
-        g_mean = g[:, :, :1] / c
-        grad = np.repeat(g_mean, c, axis=2)
-        idx = np.argmax(a.data, axis=2)[:, :, None]
-        np.put_along_axis(grad, idx, g_mean + g[:, :, 1:], axis=2)
+        g = g.reshape(shape)
+        g_mean = g[..., :1] / c
+        grad = np.repeat(g_mean, c, axis=-1)
+        idx = np.expand_dims(np.argmax(a.data, axis=-1), -1)
+        np.put_along_axis(grad, idx, g_mean + g[..., 1:], axis=-1)
         a._accumulate(grad)
 
-    return _from_op(data, (a,), backward)
+    return _from_op(pooled.reshape(a.shape[:2] + (-1,)), (a,), backward)
 
 
 def global_vertex_avg(a) -> Tensor:

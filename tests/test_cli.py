@@ -878,6 +878,14 @@ class TestSelfCheck:
         assert "checks passed" in out
         assert "FAIL" not in out
 
+    def test_readme_counts_match_the_battery(self):
+        from rrnet.checks import op_cases, run_self_check
+
+        readme = (ROOT / "README.md").read_text()
+        checks, cases = map(int, re.search(r"(\d+) checks in all \((\d+) cases\)", readme).groups())
+        assert checks == len(run_self_check(trials=1))
+        assert cases == len(list(op_cases(np.random.default_rng(0))))
+
     def test_zero_trials_is_usage_error(self, capsys):
         code, out, err = run(capsys, "self-check", "--trials", "0")
         assert code == EXIT_USAGE

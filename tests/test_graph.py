@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rrnet.graph import (
+    DEGREE_EPS,
     adjacency,
     canonical_vertex_order,
     crr,
@@ -15,7 +16,7 @@ from rrnet.graph import (
     srr,
 )
 from rrnet.init import init_params
-from rrnet.tensor import Tensor, relu, reshape, take_rows, transpose
+from rrnet.tensor import NumericalError, Tensor, relu, reshape, take_rows, tensor_sum, transpose
 
 
 def reasoning_params(feature_dim, rng, dtype=np.float32):
@@ -36,6 +37,14 @@ def identity_params(a2, lam_bias=1.0, dtype=np.float64):
         "lambda_b": Tensor(np.full(a2, lam_bias, dtype=dtype), requires_grad=True),
         "theta": Tensor(eye.copy(), requires_grad=True),
     }
+
+
+def composed_graph_reason(m, p):
+    """graph_reason as a composition of Tensor ops: the reference for the fused op."""
+    order = canonical_vertex_order(m.data)
+    mc = take_rows(m, order)
+    lap = normalized_laplacian(adjacency(mc, p))
+    return take_rows(relu(lap @ mc @ p["theta"]), np.argsort(order))
 
 
 class TestAdjacency:
@@ -177,6 +186,22 @@ class TestSrrCrr:
         stepwise = reshape(take_rows(core, np.argsort(order)), (4, 4, 8)).data
         assert np.array_equal(got, stepwise)
 
+    def test_crr_float32_equals_unfused_pipeline(self, rng):
+        x = Tensor(rng.standard_normal((4, 4, 3)).astype(np.float32))
+        p = reasoning_params(16, rng)
+        got = crr(x, p).data
+        out = composed_graph_reason(transpose(reshape(x, (16, 3))), p)
+        assert got.dtype == np.float32
+        assert np.array_equal(got, reshape(transpose(out), (4, 4, 3)).data)
+
+    def test_non_finite_adjacency_rejected(self, rng):
+        # projected rows of ~1e200 square to ~1e400, past float64's range
+        x = Tensor(np.full((2, 2, 3), 1e200), dtype=np.float64)
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericalError, match="adjacency produced non-finite entries"
+        ):
+            srr(x, identity_params(3))
+
     def test_crr_matches_stepwise_oracle(self, rng):
         x = Tensor(rng.standard_normal((4, 4, 3)), dtype=np.float64)
         p = reasoning_params(16, rng, np.float64)
@@ -201,6 +226,59 @@ class TestSrrCrr:
         x = Tensor(rng.standard_normal((4, 4, 8)).astype(np.float32))
         p = reasoning_params(8, rng)
         assert (srr(x, p).data >= 0).all()
+
+
+class TestFusedBackward:
+    """graph_reason's closed-form backward against the composed Tensor
+    pipeline's, in float64: every gradient agrees to 1e-12 of its largest entry."""
+
+    @staticmethod
+    def gradients(fn, m, p, weight):
+        leaves = [("m", m)] + list(p.items())
+        for _, t in leaves:
+            t.zero_grad()
+        out = fn(m, p)
+        tensor_sum(out * weight).backward()
+        return out.data, {name: t.grad.copy() for name, t in leaves}
+
+    def assert_backward_matches(self, m, p, rng):
+        weight = Tensor(rng.standard_normal(m.shape), dtype=np.float64)
+        out, got = self.gradients(graph_reason, m, p, weight)
+        ref, want = self.gradients(composed_graph_reason, m, p, weight)
+        assert np.array_equal(out, ref)
+        for name in want:
+            assert np.abs(got[name] - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), name
+
+    def test_srr_shapes(self, rng):
+        m = Tensor(rng.standard_normal((16, 8)), requires_grad=True, dtype=np.float64)
+        self.assert_backward_matches(m, reasoning_params(8, rng, np.float64), rng)
+
+    def test_crr_shapes(self, rng):
+        m = Tensor(rng.standard_normal((3, 16)), requires_grad=True, dtype=np.float64)
+        self.assert_backward_matches(m, reasoning_params(16, rng, np.float64), rng)
+
+    def test_tied_rows(self, rng):
+        data = rng.standard_normal((6, 4))
+        data[3], data[5] = data[1], data[0]
+        m = Tensor(data, requires_grad=True, dtype=np.float64)
+        s = data.sum(axis=1)[np.argsort(data.sum(axis=1), kind="stable")]
+        assert not (s[1:] > s[:-1]).all()  # canonical_vertex_order takes the lexsort
+        self.assert_backward_matches(m, reasoning_params(4, rng, np.float64), rng)
+
+    def test_degree_below_eps_is_clipped(self, rng):
+        # a zero feature row projects to the bias: relu zeroes its negative
+        # entries and keeps a 1e-9 one, so that vertex's degree is positive
+        # but below DEGREE_EPS, and the clip's zero gradient applies to it
+        data = rng.uniform(1.0, 2.0, size=(5, 3))
+        data[2] = 0.0
+        p = reasoning_params(3, rng, np.float64)
+        for name in ("proj_w", "lambda_w", "lambda_b"):
+            p[name].data[:] = np.abs(p[name].data) + 0.1
+        p["proj_b"].data[:] = [-0.05, -0.05, 1e-9]
+        m = Tensor(data, requires_grad=True, dtype=np.float64)
+        deg = adjacency(m, p).data.sum(axis=1)
+        assert 0 < deg[2] < DEGREE_EPS and (np.delete(deg, 2) > DEGREE_EPS).all()
+        self.assert_backward_matches(m, p, rng)
 
 
 class TestNonLocal:

@@ -109,6 +109,22 @@ class TestMemory:
         assert after_backward <= grad_bytes + pred.map.data.nbytes + 2**19
         assert backward_peak < after_forward + param_bytes
 
+    def test_tape_nodes_per_sample(self):
+        # graph reasoning records one op per call and PMA one attention pass;
+        # composed op by op, the same sample recorded 517 nodes
+        cfg = NetworkConfig(input_size=(64, 64))
+        params = init_network_params(cfg, seed=0)
+        sample = synth_dataset(1, seed=0, size=64)[0]
+        loss = balanced_bce_loss(predict(Tensor(sample.image), params, cfg).map, sample.mask)
+        seen = {id(loss)}
+        stack = [loss]
+        while stack:
+            for parent in stack.pop()._prev:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) <= 283
+
     @pytest.mark.parametrize("with_grad", [False, True])
     def test_batch_loss_frees_each_sample_before_the_next_forward(self, monkeypatch, with_grad):
         maps = []
