@@ -243,16 +243,21 @@ def _loss_checks(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _metric_checks(rng: np.random.Generator) -> list[CheckResult]:
-    from .metrics import e_measure, f_measure, mae, s_measure
+    from .metrics import e_measure, evaluate_pair, f_measure, mae, s_measure
 
     gt = (rng.uniform(size=(16, 16)) < 0.3).astype(np.float64)
     if gt.sum() == 0:
         gt[4, 4] = 1.0
+    # an 8-bit map as read_pgm gives it: all 8 symmetries must score the same bytes
+    s = rng.integers(0, 256, size=gt.shape).astype(np.float32) / np.float32(255)
+    rows = [evaluate_pair(np.rot90(a, k), np.rot90(b, k)) for a, b in ((s, gt), (s.T, gt.T)) for k in range(4)]
+    scores = {(r.mae, r.s_m, r.e_m, r.f_beta_max, r.pr.tobytes()) for r in rows}
     results = [
         CheckResult("metrics/mae_identity", mae(gt, gt) == 0.0),
         CheckResult("metrics/f_identity", abs(f_measure(gt, gt) - 1.0) < 1e-6),
         CheckResult("metrics/s_identity", abs(s_measure(gt, gt) - 1.0) < 1e-6),
         CheckResult("metrics/e_identity", abs(e_measure(gt, gt) - 1.0) < 1e-6),
+        CheckResult("metrics/dihedral_invariance", len(scores) == 1, f"{len(scores)} distinct of {len(rows)}"),
     ]
     return results
 

@@ -267,10 +267,8 @@ def _cmd_eval(args) -> int:
         print(f"warning: '{sample_id}' has no foreground; excluded from F/PR", file=sys.stderr)
     Path(args.report).write_text(report_to_json(report))
     Path(args.prcurve).write_text(pr_curve_csv(report.pr))
-    _say(
-        f"n={len(report.per_image)} MAE={report.mae:.4f} F={report.f_beta_max:.4f} "
-        f"E={report.e_m:.4f} S={report.s_m:.4f}"
-    )
+    f = "n/a" if report.f_beta_max is None else f"{report.f_beta_max:.4f}"
+    _say(f"n={len(report.per_image)} MAE={report.mae:.4f} F={f} E={report.e_m:.4f} S={report.s_m:.4f}")
     return EXIT_OK
 
 

@@ -1,16 +1,20 @@
 """Saliency evaluation: MAE, P-R curves, F-measure, S-measure, E-measure.
 
-All metrics run in float64 on plain numpy arrays, and each is exactly
-invariant under applying the same flip/rotation to both the prediction and
-the ground truth. Mask-only quantities (pixel counts, the mask's mean and
-variance in a block, the S-measure centroid) come from exact integer counts.
-Every float reduction over pixels runs over sorted halves: a region's map
-values on its foreground and on its background, each sorted once. The regions
-are the whole map (MAE, the map mean behind the E-measure threshold, the
-object score's means and variances) and each S-measure block (its mx, sigma_x
-and sigma_xy). A flip or rotation maps each region to one holding the same
-multiset of (value, label) pairs, so the sorted halves, and every sum over
-them, are bit-identical.
+Every metric of a pair comes from integer histograms: pixel counts per (map
+level, mask bit), over the whole map and over each S-measure block. A map's
+levels are its distinct values in ascending order. An 8-bit map, the kind
+`read_pgm` gives, is recognized from one rounding pass, with no sort: each
+value must be exactly float32(k) / 255 for an integer k in 0..255. Any other
+map goes through `np.unique`. Both paths then keep only the levels some pixel
+has, so they build the same table and the same counts.
+
+Every float sum runs over the level table in ascending order, weighted by
+integer counts. A flip or rotation applied to both the prediction and the
+ground truth leaves each region's counts as they were (the S-measure blocks
+are only relabeled), so every metric is bit-identical under all eight.
+A region's mean is taken relative to its lowest level that occurs, so a
+region with a single level has a mean equal to that level and a variance of
+exactly zero.
 """
 
 from __future__ import annotations
@@ -34,41 +38,91 @@ __all__ = [
 ]
 
 THRESHOLDS = np.arange(256, dtype=np.float64) / 255.0
+# the values read_pgm gives, byte k as float32(k) / 255, widened to float64
+LEVELS8 = (np.arange(256, dtype=np.float32) / np.float32(255)).astype(np.float64)
 
 _EPS = float(np.spacing(1.0))  # matches the eps the reference formulas use
 
 
-def _check_pair(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The map as float64 and the foreground of the mask, once both are checked."""
+def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate levels of a map in ascending order, and each pixel's index
+    into them: LEVELS8 and the byte values for an 8-bit map, else the
+    distinct values. Raises ValueError outside [0, 1] or on NaN."""
+    if s.dtype in (np.float32, np.float64) and s.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k = np.asarray(np.rint(s * 255), dtype=np.float32)
+            np.clip(k, 0, 255, out=k)  # so no NaN or value outside [0, 1] can match
+            codes = k.astype(np.uint8)
+            if (np.divide(k, 255, out=k) == s).all():
+                return LEVELS8, codes
+    return _distinct_levels(s)
+
+
+def _distinct_levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of any map, ascending, and each pixel's index into them."""
     s = np.asarray(s, dtype=np.float64)
-    gt = np.asarray(gt)
-    if s.shape != gt.shape:
-        raise ValueError(f"prediction {s.shape} and ground truth {gt.shape} differ in shape")
     lo, hi = s.min(), s.max()
     if not (lo >= 0.0 and hi <= 1.0):  # a NaN fails both comparisons
         raise ValueError(f"saliency values must lie in [0, 1] and not be NaN, got range [{lo}, {hi}]")
+    levels, codes = np.unique(s, return_inverse=True)
+    return levels, codes.reshape(s.shape)
+
+
+def _check_pair(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A checked pair as its candidate levels, a key per pixel (level index,
+    plus the number of levels on foreground) and the foreground."""
+    s, gt = np.asarray(s), np.asarray(gt)
+    if s.shape != gt.shape:
+        raise ValueError(f"prediction {s.shape} and ground truth {gt.shape} differ in shape")
+    levels, codes = _levels(s)
     fg = gt == 1.0
     if not (fg | (gt == 0.0)).all():
         raise ValueError(f"ground truth must be binary 0/1, found values {np.unique(gt)[:8]}")
-    return s, fg
+    key = codes.astype(np.intp)
+    np.add(key, levels.size, out=key, where=fg)
+    return levels, key, fg
 
 
-def _halves(s: np.ndarray, fg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A region's map values on its foreground and on its background, each sorted."""
-    return np.sort(s[fg]), np.sort(s[~fg])
+def _histograms(
+    levels: np.ndarray, key: np.ndarray, splits: list[tuple[int, int]]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The levels that occur; the whole map's pixel counts per (mask bit,
+    level), shape 2 x L; and for each (row, column) split, the counts of its
+    four blocks (top left, top right, bottom left, bottom right), 4 x 2 x L.
+
+    The block of a pixel goes into two more bits of its key, so one
+    bincount gives a split's four blocks and, summed, the whole map. The
+    last split's bits are added to `key` in place.
+    """
+    n = levels.size
+    blocks = []
+    for i, (sr, sc) in enumerate(splits):
+        k = key if i == len(splits) - 1 else key.copy()
+        k[sr:] += 4 * n
+        k[:, sc:] += 2 * n
+        blocks.append(np.bincount(k.ravel(), minlength=8 * n).reshape(4, 2, n))
+    whole = blocks[0].sum(axis=0) if blocks else np.bincount(key.ravel(), minlength=2 * n).reshape(2, n)
+    present = whole.any(axis=0)
+    return levels[present], whole[:, present], [b[:, :, present] for b in blocks]
 
 
-def _mean(fg_vals: np.ndarray, bg_vals: np.ndarray) -> float:
-    return float(fg_vals.sum() + bg_vals.sum()) / (fg_vals.size + bg_vals.size)
+def _pair_counts(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    levels, key, _ = _check_pair(s, gt)
+    levels, counts, _ = _histograms(levels, key, [])
+    return levels, counts
+
+
+def _map_mean(v: np.ndarray, c: np.ndarray) -> float:
+    return float(((c[0] + c[1]) * v).sum()) / int(c.sum())
 
 
 def mae(s: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute per-pixel difference."""
-    return _mae(*_halves(*_check_pair(s, gt)))
+    return _mae(*_pair_counts(s, gt))
 
 
-def _mae(fg_vals: np.ndarray, bg_vals: np.ndarray) -> float:
-    return _mean(1.0 - fg_vals, bg_vals)
+def _mae(v: np.ndarray, c: np.ndarray) -> float:
+    return float((c[1] * (1.0 - v)).sum() + (c[0] * v).sum()) / int(c.sum())
 
 
 def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
@@ -77,23 +131,21 @@ def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
     A pixel counts as predicted positive at threshold t when s >= t. An empty
     prediction has no false positives, so its precision is defined as 1.
     """
-    s, fg = _check_pair(s, gt)
-    n_pos = int(np.count_nonzero(fg))
+    v, c = _pair_counts(s, gt)
+    n_pos = int(c[1].sum())
     if n_pos == 0:
         raise ValueError("ground truth has no positive pixels; P-R curve is undefined")
-    return _pr_curve(s, fg, n_pos)
+    return _pr_curve(v, c, n_pos)
 
 
-def _pr_curve(s: np.ndarray, fg: np.ndarray, n_pos: int) -> np.ndarray:
-    # highest threshold index each pixel still clears, which is floor(255 s)
-    # exactly: the rounded product is monotone in s, and at every threshold
+def _pr_curve(v: np.ndarray, c: np.ndarray, n_pos: int) -> np.ndarray:
+    # highest threshold index each level still clears, which is floor(255 v)
+    # exactly: the rounded product is monotone in v, and at every threshold
     # THRESHOLDS[k] and the float just below it fall on either side of k
-    # (checked for all 256 in the tests), so no s in [0, 1] lands in a wrong bin
-    k = (s.ravel() * 255.0).astype(np.intp)
-    # one histogram of (threshold index, is positive): negatives in 0..255, positives in 256..511
-    hist = np.bincount(k + 256 * fg.ravel(), minlength=512)
-    hist_pos = hist[256:]
-    hist_all = hist[:256] + hist_pos
+    # (checked for all 256 in the tests), so no v in [0, 1] lands in a wrong bin
+    k = (v * 255.0).astype(np.intp)
+    hist_pos = np.bincount(k, weights=c[1], minlength=256).astype(np.int64)
+    hist_all = np.bincount(k, weights=c[0], minlength=256).astype(np.int64) + hist_pos
     pred_at = np.cumsum(hist_all[::-1])[::-1]  # pixels predicted positive per threshold
     tp_at = np.cumsum(hist_pos[::-1])[::-1]
     curve = np.empty((256, 2), dtype=np.float64)
@@ -118,38 +170,33 @@ def _f_max(curve: np.ndarray, beta_sq: float = 0.3) -> float:
 # -- S-measure ------------------------------------------------------------------
 
 
-def _object_score(values: np.ndarray) -> float:
-    if values.size == 0:
+def _object_score(values: np.ndarray, counts: np.ndarray) -> float:
+    """2x / (x^2 + 1 + sigma + eps) over a region's values, given as a level table and its counts."""
+    n = int(counts.sum())
+    if n == 0:
         return 0.0
-    x = float(values.sum()) / values.size
-    if values.size > 1:
-        sigma = float(np.sqrt(np.square(values - x).sum() / (values.size - 1)))
-    else:
-        sigma = 0.0
+    lo = values[counts > 0].min()
+    x = float(lo + (counts * (values - lo)).sum() / n)
+    sigma = float(np.sqrt((counts * np.square(values - x)).sum() / (n - 1))) if n > 1 else 0.0
     return 2.0 * x / (x * x + 1.0 + sigma + _EPS)
 
 
-def _ssim_block(x_fg: np.ndarray, x_bg: np.ndarray) -> float:
-    """SSIM of one block from its sorted map values on foreground and on
-    background; the mask's mean and variance follow from the two counts."""
-    k, n = x_fg.size, x_fg.size + x_bg.size
-    if n == 0:
-        return 1.0
-    mx, my = _mean(x_fg, x_bg), k / n
-    if n > 1:
-        d_fg, d_bg = x_fg - mx, x_bg - mx
-        sx = float(np.square(d_fg).sum() + np.square(d_bg).sum()) / (n - 1)
-        sy = k * (n - k) / (n * (n - 1))
-        sxy = float((1.0 - my) * d_fg.sum() - my * d_bg.sum()) / (n - 1)
-    else:
-        sx = sy = sxy = 0.0
+def _weighted_ssim(v: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Each block's SSIM times its share of the pixels, from its counts per
+    (mask bit, level), B x 2 x L; the mask's mean and variance follow from
+    the two totals."""
+    c_all = c[:, 0] + c[:, 1]
+    n, k = c_all.sum(axis=1), c[:, 1].sum(axis=1)
+    n1, dof = np.maximum(n, 1), np.maximum(n - 1, 1)  # an empty or one-pixel block has no spread
+    lo = v[np.argmax(c_all > 0, axis=1)]  # each block's lowest level
+    mx, my = lo + (c_all * (v - lo[:, None])).sum(axis=1) / n1, k / n1
+    d = v - mx[:, None]
+    sx = (c_all * np.square(d)).sum(axis=1) / dof
+    sy = k * (n - k) / (n1 * dof)
+    sxy = ((1.0 - my) * (c[:, 1] * d).sum(axis=1) - my * (c[:, 0] * d).sum(axis=1)) / dof
     alpha = 4.0 * mx * my * sxy
     beta = (mx * mx + my * my) * (sx + sy)
-    if alpha != 0.0:
-        return alpha / (beta + _EPS)
-    if beta == 0.0:
-        return 1.0
-    return 0.0
+    return n / n.sum() * np.where(alpha != 0.0, alpha / (beta + _EPS), beta == 0.0)
 
 
 def _axis_splits(counts: np.ndarray, n_pos: int) -> tuple[int, ...]:
@@ -174,39 +221,38 @@ def _axis_splits(counts: np.ndarray, n_pos: int) -> tuple[int, ...]:
     return (above, above + 1)
 
 
-def _region_score(s: np.ndarray, fg: np.ndarray, n_pos: int) -> float:
-    h, w = fg.shape
-    scores = []
-    for sr in _axis_splits(np.count_nonzero(fg, axis=1), n_pos):
-        for sc in _axis_splits(np.count_nonzero(fg, axis=0), n_pos):
-            blocks = []
-            for rs, re in ((0, sr), (sr, h)):
-                for cs, ce in ((0, sc), (sc, w)):
-                    weight = (re - rs) * (ce - cs) / (h * w)
-                    blocks.append(weight * _ssim_block(*_halves(s[rs:re, cs:ce], fg[rs:re, cs:ce])))
-            # quadrants get relabeled under flips; summing sorted keeps the result exact
-            scores.append(float(np.sort(blocks).sum()))
-    # the same holds for the two splits of a centroid on a middle row or column
+def _splits(fg: np.ndarray) -> list[tuple[int, int]]:
+    """The S-measure's (row, column) splits; none when the mask is all one class."""
+    n_pos = int(np.count_nonzero(fg))
+    if n_pos in (0, fg.size):
+        return []
+    rows = _axis_splits(fg.sum(axis=1, dtype=np.int32), n_pos)
+    return [(sr, sc) for sr in rows for sc in _axis_splits(fg.sum(axis=0, dtype=np.int32), n_pos)]
+
+
+def _region_score(v: np.ndarray, blocks: list[np.ndarray]) -> float:
+    # quadrants get relabeled under flips; summing sorted keeps the result
+    # exact, and the same holds for the two splits of a centroid on a middle
+    # row or column
+    scores = [float(np.sort(_weighted_ssim(v, c)).sum()) for c in blocks]
     return float(np.sort(scores).sum()) / len(scores)
 
 
 def s_measure(s: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
     """Structure measure: alpha * object similarity + (1 - alpha) * region similarity."""
-    s, fg = _check_pair(s, gt)
-    return _s_measure(s, fg, *_halves(s, fg), alpha)
+    levels, key, fg = _check_pair(s, gt)
+    return _s_measure(*_histograms(levels, key, _splits(fg)), alpha)
 
 
-def _s_measure(
-    s: np.ndarray, fg: np.ndarray, fg_vals: np.ndarray, bg_vals: np.ndarray, alpha: float = 0.5
-) -> float:
-    n_pos = fg_vals.size
+def _s_measure(v: np.ndarray, c: np.ndarray, blocks: list[np.ndarray], alpha: float = 0.5) -> float:
+    n_pos, n = int(c[1].sum()), int(c.sum())
     if n_pos == 0:
-        return 1.0 - _mean(fg_vals, bg_vals)
-    if n_pos == fg.size:
-        return _mean(fg_vals, bg_vals)
-    mu = n_pos / fg.size
-    s_object = mu * _object_score(fg_vals) + (1.0 - mu) * _object_score(1.0 - bg_vals)
-    s_region = _region_score(s, fg, n_pos)
+        return 1.0 - _map_mean(v, c)
+    if n_pos == n:
+        return _map_mean(v, c)
+    mu = n_pos / n
+    s_object = mu * _object_score(v, c[1]) + (1.0 - mu) * _object_score(1.0 - v, c[0])
+    s_region = _region_score(v, blocks)
     return max(alpha * s_object + (1.0 - alpha) * s_region, 0.0)
 
 
@@ -215,17 +261,16 @@ def _s_measure(
 
 def e_measure(s: np.ndarray, gt: np.ndarray, eps: float = 1e-8) -> float:
     """Enhanced-alignment measure on the adaptively binarized prediction."""
-    return _e_measure(*_halves(*_check_pair(s, gt)), eps)
+    return _e_measure(*_pair_counts(s, gt), eps)
 
 
-def _e_measure(fg_vals: np.ndarray, bg_vals: np.ndarray, eps: float = 1e-8) -> float:
+def _e_measure(v: np.ndarray, c: np.ndarray, eps: float = 1e-8) -> float:
     # phi depends only on a pixel's (mask, binarized map) cell, so the mean
-    # over pixels is a count-weighted sum over the at most 4 cells; a binary
-    # search of each sorted half counts the pixels at or above tau
-    tau = min(2.0 * _mean(fg_vals, bg_vals), 1.0)
-    n_pos, n = fg_vals.size, fg_vals.size + bg_vals.size
-    n_both = n_pos - int(np.searchsorted(fg_vals, tau))
-    n_sb = n_both + bg_vals.size - int(np.searchsorted(bg_vals, tau))
+    # over pixels is a count-weighted sum over the at most 4 cells
+    above = v >= min(2.0 * _map_mean(v, c), 1.0)
+    n_pos, n = int(c[1].sum()), int(c.sum())
+    n_both = int(c[1, above].sum())
+    n_sb = n_both + int(c[0, above].sum())
     if n_pos == 0:
         return (n - n_sb) / n
     if n_pos == n:
@@ -270,9 +315,10 @@ class MetricReport:
         return float(np.mean([m.e_m for m in self.per_image]))
 
     @property
-    def f_beta_max(self) -> float:
+    def f_beta_max(self) -> float | None:
+        """Mean F-max over the images with foreground; None when there are none."""
         vals = [m.f_beta_max for m in self.per_image if m.f_beta_max is not None]
-        return float(np.mean(vals)) if vals else float("nan")
+        return float(np.mean(vals)) if vals else None
 
     @property
     def pr(self) -> np.ndarray:
@@ -283,17 +329,19 @@ class MetricReport:
 
 
 def evaluate_pair(s: np.ndarray, gt: np.ndarray, sample_id: str = "") -> ImageMetrics:
-    """Every metric of one pair, from a single check of its inputs."""
-    s, fg = _check_pair(s, gt)
-    fg_vals, bg_vals = _halves(s, fg)
+    """Every metric of one pair, from a single check of its inputs and one
+    histogram per S-measure split."""
+    levels, key, fg = _check_pair(s, gt)
+    v, c, blocks = _histograms(levels, key, _splits(fg))
     row = ImageMetrics(
         id=sample_id,
-        mae=_mae(fg_vals, bg_vals),
-        s_m=_s_measure(s, fg, fg_vals, bg_vals),
-        e_m=_e_measure(fg_vals, bg_vals),
+        mae=_mae(v, c),
+        s_m=_s_measure(v, c, blocks),
+        e_m=_e_measure(v, c),
     )
-    if fg_vals.size > 0:
-        row.pr = _pr_curve(s, fg, fg_vals.size)
+    n_pos = int(c[1].sum())
+    if n_pos > 0:
+        row.pr = _pr_curve(v, c, n_pos)
         row.f_beta_max = _f_max(row.pr)
     return row
 
@@ -334,7 +382,7 @@ def report_to_json(report: MetricReport) -> str:
             for m in report.per_image
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def pr_curve_csv(curve: np.ndarray) -> str:

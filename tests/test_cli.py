@@ -813,6 +813,25 @@ class TestEval:
         doc = json.loads(report.read_text())
         assert doc["aggregate"]["skipped_for_f_pr"] == ["empty"]
 
+    def test_report_without_foreground_is_strict_json(self, tmp_path, capsys, rng):
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        self._write_pair(pred_d, gt_d, "empty", rng.uniform(size=(8, 8)), np.zeros((8, 8)))
+        report = tmp_path / "r.json"
+        code, out, _ = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
+            "--report", str(report), "--prcurve", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_OK
+        assert " F=n/a " in out
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert doc["aggregate"]["f_beta_max"] is None
+        assert doc["per_image"][0]["f_beta_max"] is None
+
 
 @pytest.mark.parametrize(
     "command,flag", [("eval", "--report"), ("infer", "--input"), ("infer", "--output"), ("infer", "--checkpoint")]

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from rrnet import metrics
 from rrnet.metrics import (
     THRESHOLDS,
     e_measure,
@@ -139,7 +140,7 @@ def oracle_e_measure(pred, gt, eps=1e-8):
     return total / n
 
 
-# -- sorted-sum kernels, each reduction sorted on its own: the sorted-halves oracle --
+# -- sorted-sum kernels, each reduction over pixels sorted on its own --
 
 
 def csum(values):
@@ -150,10 +151,16 @@ def cmean(values):
     return csum(values) / values.size
 
 
+def region_mean(values):
+    """A region's mean relative to its lowest value: exactly that value when it is the only one."""
+    lo = values.min()
+    return lo + cmean(values - lo)
+
+
 def sorted_sum_object_score(values):
     if values.size == 0:
         return 0.0
-    x = cmean(values)
+    x = region_mean(values)
     sigma = float(np.sqrt(csum(np.square(values - x)) / (values.size - 1))) if values.size > 1 else 0.0
     return 2.0 * x / (x * x + 1.0 + sigma + EPS)
 
@@ -162,7 +169,7 @@ def sorted_sum_ssim(x, y):
     n = x.size
     if n == 0:
         return 1.0
-    mx, my = cmean(x), cmean(y)
+    mx, my = region_mean(x), region_mean(y)
     if n > 1:
         sx = csum(np.square(x - mx)) / (n - 1)
         sy = csum(np.square(y - my)) / (n - 1)
@@ -263,6 +270,53 @@ def dihedral_variants(arr):
         yield np.rot90(f, k)
 
 
+def within_cell_shuffle(s, gt, rng):
+    """s with its values permuted within each cell = (row above / on / below the
+    centroid) x (the same for columns) x mask class; every S-measure block is a
+    union of such cells."""
+    rows, cols = np.nonzero(gt)
+    r = np.sign(np.arange(gt.shape[0]) * rows.size - rows.sum()) + 1
+    c = np.sign(np.arange(gt.shape[1]) * rows.size - cols.sum()) + 1
+    cells = ((3 * r[:, None] + c[None, :]) * 2 + gt.astype(int)).ravel()
+    shuffled = s.ravel().copy()
+    for cell in np.unique(cells):
+        idx = np.flatnonzero(cells == cell)
+        shuffled[idx] = shuffled[rng.permutation(idx)]
+    assert not np.array_equal(shuffled, s.ravel())
+    return shuffled.reshape(s.shape)
+
+
+def pgm_pair(rng, size=224):
+    """A soft map as read_pgm gives it (bytes over 255 in float32) and a blob mask as read_mask gives it."""
+    yy, xx = np.mgrid[:size, :size] / size
+    gt = ((yy - 0.45) ** 2 + (xx - 0.6) ** 2 < 0.08).astype(np.float32)
+    soft = np.clip(0.25 + 0.5 * gt + rng.normal(0.0, 0.12, gt.shape), 0.0, 1.0)
+    return np.rint(soft * 255).astype(np.uint8).astype(np.float32) / 255.0, gt
+
+
+def row_values(row):
+    return (row.mae, row.s_m, row.e_m, row.f_beta_max, None if row.pr is None else row.pr.tobytes())
+
+
+class SortGuard:
+    """numpy as rrnet.metrics sees it, recording the size of every array that
+    np.sort, np.argsort or np.unique is given."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("sort", "argsort", "unique"):
+            return attr
+
+        def watched(a, *args, **kwargs):
+            self.sizes.append(np.size(a))
+            return attr(a, *args, **kwargs)
+
+        return watched
+
+
 class TestMae:
     def test_identity_and_inversion(self, rng):
         _, gt = random_pair(rng)
@@ -288,6 +342,10 @@ class TestMae:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             mae(np.zeros((2, 2)), np.zeros((3, 3)))
+
+    def test_scalar_pair(self):
+        assert mae(np.float64(0.25), 1.0) == 0.75
+        assert mae(np.float32(64) / np.float32(255), np.float32(0.0)) == float(np.float32(64) / np.float32(255))
 
 
 class TestPrCurve:
@@ -480,13 +538,13 @@ class TestBoundsAndInvariance:
         pairs = [random_pair(rng, 16, 16) for _ in range(12)]
         pairs.append((rng.uniform(size=(16, 16)), np.zeros((16, 16))))
         pairs += [(rng.uniform(size=gt.shape), gt) for gt in integer_centroid_masks()]
+        pairs.append(pgm_pair(rng))
+        # 8-bit maps: the order of the four block sums shows in about 1 pair in 40
+        pairs += [(pgm_pair(rng, 16)[0], random_pair(rng, 16, 16)[1]) for _ in range(120)]
         for s, gt in pairs:
-            base = evaluate_pair(s, gt)
+            base = row_values(evaluate_pair(s, gt))
             for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
-                row = evaluate_pair(np.ascontiguousarray(sv), np.ascontiguousarray(gv))
-                got = (row.mae, row.s_m, row.e_m, row.f_beta_max)
-                assert got == (base.mae, base.s_m, base.e_m, base.f_beta_max)
-                assert (row.pr is None and base.pr is None) or np.array_equal(row.pr, base.pr)
+                assert row_values(evaluate_pair(np.ascontiguousarray(sv), np.ascontiguousarray(gv))) == base
 
     def test_pr_curve_exact_dihedral_invariance(self, rng):
         s, gt = random_pair(rng, 16, 16)
@@ -495,28 +553,17 @@ class TestBoundsAndInvariance:
             assert np.array_equal(pr_curve(np.ascontiguousarray(sv), np.ascontiguousarray(gv)), base)
 
 
-class TestSortedHalves:
+class TestLevelHistograms:
     FIELDS = ("mae", "s_m", "e_m", "f_beta_max")
 
     def test_shuffling_within_block_and_mask_class_changes_nothing(self, rng):
         pairs = [random_pair(rng, int(rng.integers(2, 20)), int(rng.integers(2, 20))) for _ in range(30)]
         pairs += [(rng.uniform(size=gt.shape), gt) for gt in integer_centroid_masks()]
         pairs.append((rng.uniform(size=(7, 5)), np.zeros((7, 5))))
+        pairs.append(pgm_pair(rng))
         for s, gt in pairs:
-            # cell = (row above / on / below the centroid) x (the same for columns) x mask
-            # class; every S-measure block is a union of such cells
-            rows, cols = np.nonzero(gt)
-            r = np.sign(np.arange(gt.shape[0]) * rows.size - rows.sum()) + 1
-            c = np.sign(np.arange(gt.shape[1]) * rows.size - cols.sum()) + 1
-            cells = ((3 * r[:, None] + c[None, :]) * 2 + gt.astype(int)).ravel()
-            shuffled = s.ravel().copy()
-            for cell in np.unique(cells):
-                idx = np.flatnonzero(cells == cell)
-                shuffled[idx] = shuffled[rng.permutation(idx)]
-            assert not np.array_equal(shuffled, s.ravel())
-            base, got = evaluate_pair(s, gt), evaluate_pair(shuffled.reshape(s.shape), gt)
-            assert [getattr(got, k) for k in self.FIELDS] == [getattr(base, k) for k in self.FIELDS]
-            assert (got.pr is None and base.pr is None) or np.array_equal(got.pr, base.pr)
+            base = evaluate_pair(s, gt)
+            assert row_values(evaluate_pair(within_cell_shuffle(s, gt, rng), gt)) == row_values(base)
 
     def test_public_metrics_equal_evaluate_pair(self, rng):
         for s, gt in assorted_pairs(rng, 60):
@@ -536,6 +583,68 @@ class TestSortedHalves:
                 else:
                     assert got == pytest.approx(ref, rel=0, abs=1e-14), (name, s.shape)
 
+    def test_8bit_path_equals_general_path(self, rng, monkeypatch):
+        s, gt = pgm_pair(rng, 48)
+        s[:2] = 0.0  # the end levels occur too
+        s[-2:] = 1.0
+        maps = [s, s.astype(np.float64), s[:1, :3], np.full((5, 7), np.float32(77) / np.float32(255))]
+        for s in maps:
+            levels8, codes8 = metrics._levels(s)
+            levels, codes = metrics._distinct_levels(s)
+            assert levels8 is metrics.LEVELS8 and codes8.dtype == np.uint8
+            assert np.array_equal(levels8[codes8], levels[codes])
+            fg = np.zeros(s.shape, dtype=bool)
+            fg.ravel()[::3] = True
+            split = [(s.shape[0] // 2, s.shape[1] // 3)]
+            for a, b in zip(
+                metrics._histograms(levels8, codes8 + 256 * fg, split),
+                metrics._histograms(levels, codes + levels.size * fg, split),
+            ):
+                for x, y in zip(a, b):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+        pairs = [pgm_pair(rng, 48), pgm_pair(rng, 31)] + [(m, (rng.uniform(size=m.shape) < 0.4) * 1.0) for m in maps]
+        rows8 = [row_values(evaluate_pair(s, gt)) for s, gt in pairs]
+        monkeypatch.setattr(metrics, "_levels", metrics._distinct_levels)
+        assert [row_values(evaluate_pair(s, gt)) for s, gt in pairs] == rows8
+
+    def test_8bit_pair_is_scored_without_sorting_pixels(self, rng, monkeypatch):
+        s, gt = pgm_pair(rng)
+        guard = SortGuard()
+        monkeypatch.setattr(metrics, "np", guard)
+        evaluate_pair(s, gt)
+        for metric in (mae, pr_curve, f_measure, s_measure, e_measure):
+            metric(s, gt)
+        assert max(guard.sizes) <= 16
+        evaluate_pair(s.astype(np.float64) * 0.999, gt)  # not 8-bit: the guard does see a pixel sort
+        assert max(guard.sizes) == s.size
+
+    def test_levels8_is_what_read_pgm_gives(self, tmp_path):
+        from rrnet.dataio import read_pgm, write_pgm
+
+        write_pgm(tmp_path / "ramp.pgm", np.arange(256).reshape(16, 16) / 255.0)
+        got = read_pgm(tmp_path / "ramp.pgm")
+        assert np.array_equal(got.ravel().astype(np.float64), metrics.LEVELS8)
+        assert metrics._levels(got)[0] is metrics.LEVELS8
+
+    def test_one_level_region_has_zero_spread(self):
+        for value in (0.1, 0.3, 0.7):
+            want = 2.0 * value / (value * value + 1.0 + EPS)
+            for count in range(1, 20):  # 7 * 0.3 / 7 != 0.3, for one
+                assert metrics._object_score(np.array([0.0, value]), np.array([0, count])) == want
+
+    @pytest.mark.parametrize("value", [0.3, 0.5, 0.7])
+    def test_uniform_region_score_does_not_depend_on_rounding(self, value):
+        # a constant map on a left-half mask: the two left blocks are one level on
+        # one class (SSIM 1), the two right blocks one level on both (SSIM 0)
+        obj = lambda x: 2.0 * x / (x * x + 1.0 + EPS)  # noqa: E731
+        want = 0.5 * (0.5 * obj(value) + 0.5 * obj(1.0 - value)) + 0.5 * 0.25
+        for h in range(8, 14):
+            s, gt = np.full((h, 8), value), np.zeros((h, 8))
+            gt[:, :4] = 1.0
+            got = s_measure(s, gt)
+            assert got == pytest.approx(want, rel=0, abs=1e-15), h
+            assert got == pytest.approx(sorted_sum_metrics(s, gt)[1], rel=0, abs=1e-14), h
+
 
 class TestInputChecks:
     @pytest.mark.parametrize("metric", [mae, pr_curve, f_measure, s_measure, e_measure, evaluate_pair])
@@ -544,7 +653,9 @@ class TestInputChecks:
         gt[1, 1] = 1.0
         one_nan = np.full((4, 4), 0.5)
         one_nan[2, 3] = np.nan
-        for s in (one_nan, np.full((4, 4), np.nan)):
+        one_nan_8bit = np.full((4, 4), np.float32(128) / np.float32(255))
+        one_nan_8bit[2, 3] = np.nan
+        for s in (one_nan, one_nan_8bit, np.full((4, 4), np.nan)):
             with pytest.raises(ValueError, match="NaN") as info:
                 metric(s, gt)
             assert "\n" not in str(info.value)
@@ -557,11 +668,14 @@ class TestInputChecks:
         for bad_gt in (np.where(gt > 0, 0.5, 0.0), np.where(gt > 0, 2, 0), gt.astype(np.float32) * 3):
             with pytest.raises(ValueError, match="binary"):
                 metric(s, bad_gt)
-        for bad in (-0.1, 1.1, np.inf):
-            s_bad = s.copy()
-            s_bad[0, 2] = bad
-            with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                metric(s_bad, gt)
+        # on an 8-bit map too, where 2.0 = 510 / 255 passes the level test unless
+        # the byte is clipped to 0..255 first
+        for base in (s, np.full((4, 4), np.float32(128) / np.float32(255))):
+            for bad in (-0.1, 1.1, 2.0, np.inf):
+                s_bad = base.copy()
+                s_bad[0, 2] = bad
+                with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                    metric(s_bad, gt)
         with pytest.raises(ValueError, match="shape"):
             metric(s, gt[:3])
 
