@@ -52,27 +52,27 @@ class GradCheckResult:
 
 def gradcheck(
     loss_fn: Callable[[], Tensor],
-    leaves: Sequence[tuple[str, Tensor]] | Sequence[Tensor],
+    leaves: Sequence[tuple[str, Tensor]],
     h: float = 1e-5,
     rtol: float = 1e-4,
     atol: float = 1e-7,
 ) -> GradCheckResult:
-    """Compare reverse-mode gradients against central finite differences.
+    """Compare reverse-mode gradients of (name, leaf) pairs against central
+    finite differences.
 
     An element fails when |analytic - numeric| exceeds both
     rtol * max(|analytic|, |numeric|) and atol. Run this in double precision;
     float32 forward noise swamps the h=1e-5 differences.
     """
-    named = [lv if isinstance(lv, tuple) else (f"leaf{i}", lv) for i, lv in enumerate(leaves)]
-    for _, leaf in named:
+    for _, leaf in leaves:
         leaf.zero_grad()
     loss = loss_fn()
     loss.backward()
-    analytic = {name: np.array(leaf.grad, copy=True) for name, leaf in named}
+    analytic = {name: np.array(leaf.grad, copy=True) for name, leaf in leaves}
     worst = 0.0
     worst_name = ""
     ok = True
-    for name, leaf in named:
+    for name, leaf in leaves:
         numeric = numerical_gradient(loss_fn, leaf, h=h)
         a, n = analytic[name], numeric
         diff = np.abs(a - n)

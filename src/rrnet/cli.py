@@ -8,6 +8,7 @@ its remaining output, finishes and exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -78,6 +79,7 @@ def _square(text: str) -> tuple[int, int]:
     return n, n
 
 
+@functools.cache  # built once per process: in-process callers run main many times
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rrnet", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

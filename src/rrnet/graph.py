@@ -101,14 +101,14 @@ def adjacency(m: Tensor, p: dict[str, Tensor]) -> Tensor:
     return adj
 
 
-def normalized_laplacian(adj: Tensor, eps: float = DEGREE_EPS) -> Tensor:
+def normalized_laplacian(adj: Tensor) -> Tensor:
     """I - D^{-1/2} A D^{-1/2} with degrees clamped away from zero."""
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {adj.shape}")
     if (adj.data < 0).any():
         raise ValueError("adjacency entries must be non-negative")
     n = adj.shape[0]
-    deg = clip(tensor_sum(adj, axis=1), lo=eps)
+    deg = clip(tensor_sum(adj, axis=1), lo=DEGREE_EPS)
     inv_sqrt = power(deg, -0.5)
     scale = reshape(inv_sqrt, (n, 1)) * reshape(inv_sqrt, (1, n))
     eye = Tensor(np.eye(n, dtype=adj.dtype))

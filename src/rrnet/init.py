@@ -17,8 +17,8 @@ def _fans(shape: tuple[int, ...]) -> tuple[int, int]:
     return shape[-2] * receptive, shape[-1] * receptive
 
 
-def xavier_uniform(shape, seed, dtype=np.float32, requires_grad: bool = True) -> Tensor:
-    """Uniform draw on +-sqrt(6 / (fan_in + fan_out)), deterministic per seed.
+def xavier_uniform(shape, seed, dtype=np.float32) -> Tensor:
+    """A trainable uniform draw on +-sqrt(6 / (fan_in + fan_out)), deterministic per seed.
 
     seed is an int or a Generator, which is drawn from in place."""
     shape = tuple(int(s) for s in shape)
@@ -28,7 +28,7 @@ def xavier_uniform(shape, seed, dtype=np.float32, requires_grad: bool = True) ->
     fan_in, fan_out = _fans(shape)
     bound = float(np.sqrt(6.0 / (fan_in + fan_out)))
     values = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return Tensor(values, requires_grad=requires_grad)
+    return Tensor(values, requires_grad=True)
 
 
 def init_params(shapes: dict[str, tuple[int, ...]], seed, dtype=np.float32) -> dict[str, Tensor]:

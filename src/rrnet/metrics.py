@@ -42,6 +42,9 @@ THRESHOLDS = np.arange(256, dtype=np.float64) / 255.0
 LEVELS8 = (np.arange(256, dtype=np.float32) / np.float32(255)).astype(np.float64)
 
 _EPS = float(np.spacing(1.0))  # matches the eps the reference formulas use
+BETA_SQ = 0.3  # F-measure's beta^2, weighing precision over recall
+S_ALPHA = 0.5  # S-measure's weight of the object score against the region score
+E_EPS = 1e-8  # E-measure's alignment-matrix epsilon
 
 
 def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,15 +158,15 @@ def _pr_curve(v: np.ndarray, c: np.ndarray, n_pos: int) -> np.ndarray:
     return curve
 
 
-def f_measure(s: np.ndarray, gt: np.ndarray, beta_sq: float = 0.3) -> float:
-    """Max over the 256 thresholds of (1 + b2) P R / (b2 P + R); 0 when P = R = 0."""
-    return _f_max(pr_curve(s, gt), beta_sq)
+def f_measure(s: np.ndarray, gt: np.ndarray) -> float:
+    """Max over the 256 thresholds of (1 + b2) P R / (b2 P + R), b2 = BETA_SQ; 0 when P = R = 0."""
+    return _f_max(pr_curve(s, gt))
 
 
-def _f_max(curve: np.ndarray, beta_sq: float = 0.3) -> float:
+def _f_max(curve: np.ndarray) -> float:
     p, r = curve[:, 0], curve[:, 1]
-    denom = beta_sq * p + r
-    f = np.where(denom > 0, (1.0 + beta_sq) * p * r / np.where(denom > 0, denom, 1.0), 0.0)
+    denom = BETA_SQ * p + r
+    f = np.where(denom > 0, (1.0 + BETA_SQ) * p * r / np.where(denom > 0, denom, 1.0), 0.0)
     return float(f.max())
 
 
@@ -238,13 +241,13 @@ def _region_score(v: np.ndarray, blocks: list[np.ndarray]) -> float:
     return float(np.sort(scores).sum()) / len(scores)
 
 
-def s_measure(s: np.ndarray, gt: np.ndarray, alpha: float = 0.5) -> float:
-    """Structure measure: alpha * object similarity + (1 - alpha) * region similarity."""
+def s_measure(s: np.ndarray, gt: np.ndarray) -> float:
+    """Structure measure: a * object similarity + (1 - a) * region similarity, a = S_ALPHA."""
     levels, key, fg = _check_pair(s, gt)
-    return _s_measure(*_histograms(levels, key, _splits(fg)), alpha)
+    return _s_measure(*_histograms(levels, key, _splits(fg)))
 
 
-def _s_measure(v: np.ndarray, c: np.ndarray, blocks: list[np.ndarray], alpha: float = 0.5) -> float:
+def _s_measure(v: np.ndarray, c: np.ndarray, blocks: list[np.ndarray]) -> float:
     n_pos, n = int(c[1].sum()), int(c.sum())
     if n_pos == 0:
         return 1.0 - _map_mean(v, c)
@@ -253,18 +256,18 @@ def _s_measure(v: np.ndarray, c: np.ndarray, blocks: list[np.ndarray], alpha: fl
     mu = n_pos / n
     s_object = mu * _object_score(v, c[1]) + (1.0 - mu) * _object_score(1.0 - v, c[0])
     s_region = _region_score(v, blocks)
-    return max(alpha * s_object + (1.0 - alpha) * s_region, 0.0)
+    return max(S_ALPHA * s_object + (1.0 - S_ALPHA) * s_region, 0.0)
 
 
 # -- E-measure ------------------------------------------------------------------
 
 
-def e_measure(s: np.ndarray, gt: np.ndarray, eps: float = 1e-8) -> float:
+def e_measure(s: np.ndarray, gt: np.ndarray) -> float:
     """Enhanced-alignment measure on the adaptively binarized prediction."""
-    return _e_measure(*_pair_counts(s, gt), eps)
+    return _e_measure(*_pair_counts(s, gt))
 
 
-def _e_measure(v: np.ndarray, c: np.ndarray, eps: float = 1e-8) -> float:
+def _e_measure(v: np.ndarray, c: np.ndarray) -> float:
     # phi depends only on a pixel's (mask, binarized map) cell, so the mean
     # over pixels is a count-weighted sum over the at most 4 cells
     above = v >= min(2.0 * _map_mean(v, c), 1.0)
@@ -279,7 +282,7 @@ def _e_measure(v: np.ndarray, c: np.ndarray, eps: float = 1e-8) -> float:
     counts = np.array([n - n_pos - n_sb + n_both, n_sb - n_both, n_pos - n_both, n_both])
     d_gt = np.array([0.0, 0.0, 1.0, 1.0]) - n_pos / n
     d_sb = np.array([0.0, 1.0, 0.0, 1.0]) - n_sb / n
-    xi = 2.0 * d_gt * d_sb / (np.square(d_gt) + np.square(d_sb) + eps)
+    xi = 2.0 * d_gt * d_sb / (np.square(d_gt) + np.square(d_sb) + E_EPS)
     phi = np.square(xi + 1.0) / 4.0
     return float(np.sort(counts * phi).sum()) / n
 
@@ -300,7 +303,11 @@ class ImageMetrics:
 @dataclass
 class MetricReport:
     per_image: list[ImageMetrics] = field(default_factory=list)
-    skipped_fpr: list[str] = field(default_factory=list)
+
+    @property
+    def skipped_fpr(self) -> list[str]:
+        """The ids of the images left out of F and P-R: no foreground."""
+        return [m.id for m in self.per_image if m.f_beta_max is None]
 
     @property
     def mae(self) -> float:
@@ -352,13 +359,7 @@ def evaluate_pairs(pairs) -> MetricReport:
     Each pair is scored as it is drawn from the iterable, so a generator of
     pairs holds one pair in memory at a time.
     """
-    report = MetricReport()
-    for t in pairs:
-        row = evaluate_pair(*t)
-        report.per_image.append(row)
-        if row.f_beta_max is None:
-            report.skipped_fpr.append(row.id)
-    return report
+    return MetricReport(per_image=[evaluate_pair(*t) for t in pairs])
 
 
 def report_to_json(report: MetricReport) -> str:

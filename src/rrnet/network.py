@@ -167,13 +167,13 @@ def _scope(params: dict[str, Tensor], prefix: str) -> dict[str, Tensor]:
     return {name[n:]: t for name, t in params.items() if name.startswith(prefix)}
 
 
-def param_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
-    """Every parameter's checkpoint name and shape, in draw order.
+def _draw_table(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Every entry any variant of cfg's size and widths can read, in draw order.
 
-    Reasoning and attention entries are listed whatever the pma and
-    reasoning settings, so that all ablation variants share an identical
-    backbone initialization for a given seed; unused modules simply stay
-    unused. Non-local entries come last, only with reasoning "nonlocal".
+    Reasoning and attention entries are listed whatever the pma and reasoning
+    settings, so that all ablation variants draw an identical initialization
+    for a given seed. Non-local entries come last, only with reasoning
+    "nonlocal".
     """
     shapes: dict[str, tuple[int, ...]] = {}
     cin = 3
@@ -199,10 +199,40 @@ def param_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+# the pma.sN. sub-prefixes each PMA setting reads (attention.pma_shapes names)
+_PMA_READS = {
+    "both": ("left.", "right.", "att.", "fuse."),
+    "left": ("left.", "fuse."),
+    "right": ("right.", "att.", "fuse."),
+    "none": (),
+}
+# the rr.sN. sub-prefix each relational reasoning module reads
+_RR_READS = {"srr": "spatial.", "crr": "channel."}
+
+
+def param_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter the configured variant reads: checkpoint name and
+    shape, in draw order.
+
+    This is the draw table restricted, by name prefix, to the modules that
+    encode and predict run for cfg's pma and reasoning settings, so each
+    variant holds, saves, loads and steps only its own parameters.
+    """
+    modules = cfg.reasoning.split("+")
+    read = ["backbone.", "decoder.", "head."]
+    read += [f"rr.s{s}.{_RR_READS[m]}" for s in HIGH_STAGES for m in modules if m in _RR_READS]
+    read += [f"pma.s{s}.{b}" for s in LOW_STAGES for b in _PMA_READS[cfg.pma]]
+    if "nonlocal" in modules:
+        read.append("nonlocal.")
+    return {name: shape for name, shape in _draw_table(cfg).items() if name.startswith(tuple(read))}
+
+
 def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> dict[str, Tensor]:
-    """A fresh {checkpoint name: trainable tensor} dict, drawn from seed (an
-    int or a Generator) in param_shapes order."""
-    return init_params(param_shapes(cfg), seed, dtype)
+    """A fresh {checkpoint name: trainable tensor} dict for param_shapes(cfg),
+    drawn from seed (an int or a Generator). The whole draw table is drawn,
+    in order, so a kept entry has the same values in every variant."""
+    drawn = init_params(_draw_table(cfg), seed, dtype)
+    return {name: drawn[name] for name in param_shapes(cfg)}
 
 
 def _conv(x: Tensor, params: dict[str, Tensor], prefix: str, stride: int = 1) -> Tensor:

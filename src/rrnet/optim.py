@@ -10,6 +10,11 @@ from .tensor import Tensor
 
 __all__ = ["LinearSchedule", "Adam"]
 
+# the moment decay rates and the denominator's epsilon (Kingma & Ba 2015)
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class LinearSchedule:
@@ -36,19 +41,9 @@ class LinearSchedule:
 class Adam:
     """Standard ADAM over a fixed, ordered dict of named parameters."""
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        schedule: LinearSchedule,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: dict[str, Tensor], schedule: LinearSchedule):
         self.params: list[tuple[str, Tensor]] = list(params.items())
         self.schedule = schedule
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.first_moment = {name: np.zeros_like(p.data) for name, p in self.params}
         self.second_moment = {name: np.zeros_like(p.data) for name, p in self.params}
@@ -61,9 +56,8 @@ class Adam:
         """Apply one update from the accumulated gradients; returns the lr used."""
         self.step_count += 1
         lr = self.schedule.lr_at(self.step_count)
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1**self.step_count
-        bc2 = 1.0 - b2**self.step_count
+        bc1 = 1.0 - BETA1**self.step_count
+        bc2 = 1.0 - BETA2**self.step_count
         for name, p in self.params:
             g = p.grad
             if g.shape != p.data.shape:
@@ -74,9 +68,9 @@ class Adam:
                 g = g * grad_scale
             m = self.first_moment[name]
             v = self.second_moment[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * np.square(g)
-            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
+            p.data -= (lr / bc1) * m / (np.sqrt(v / bc2) + EPS)
         return lr

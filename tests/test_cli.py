@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import argparse
 import importlib.util
 import json
 import os
@@ -483,6 +484,22 @@ class TestInfer:
         assert err.startswith("data error: ") and len(err.splitlines()) == 1
         assert re.search(message, err)
 
+    def test_ablation_checkpoint_holding_every_module_is_data_error(self, tmp_path, capsys):
+        # what a build that saved the whole draw table for every variant wrote
+        # under pma=none, reasoning=none: entries of modules the baseline never runs
+        cfg = replace(TINY_CFG, pma="none", reasoning="none")
+        save_checkpoint(init_network_params(TINY_CFG, seed=0), cfg, tmp_path / "m.ck")
+        code, _, err = run(
+            capsys, "infer", "--checkpoint", str(tmp_path / "m.ck"),
+            "--input", str(tmp_path / "x.ppm"), "--output", str(tmp_path / "y.pgm"),
+        )
+        assert code == EXIT_DATA
+        assert len(err.splitlines()) == 1
+        assert err.startswith(
+            "data error: checkpoint entries do not match the configured architecture "
+            "(missing [], unexpected ['pma.s1.att.k3.b', "
+        )
+
     def test_config_that_does_not_fit_its_entries_is_data_error_before_any_allocation(self, tmp_path, capsys):
         # 64 px entries under a config whose channel-reasoning matrices would
         # be 2**34 x 2**34: only the table of shapes may be built from it
@@ -920,6 +937,26 @@ class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
         assert code == EXIT_USAGE
+
+    def test_repeated_calls_build_the_parser_once(self, tmp_path, capsys, monkeypatch):
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        write_pgm(pred_d / "a.pgm", np.full((8, 8), 0.5))
+        write_pgm(gt_d / "a.pgm", np.eye(8))
+        argv = ["eval", "--pred", str(pred_d), "--gt", str(gt_d),
+                "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv")]
+        assert run(capsys, *argv)[0] == EXIT_OK
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        for _ in range(3):
+            assert run(capsys, *argv)[0] == EXIT_OK
+        assert built == []
 
     def test_readme_command_lines_parse(self):
         readme = (ROOT / "README.md").read_text()
