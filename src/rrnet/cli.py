@@ -257,7 +257,8 @@ def _cmd_eval(args) -> int:
 
     def pairs():  # read and checked one at a time, as evaluate_pairs draws them
         for k in sorted(preds):
-            s, gt = dataio.read_pgm(preds[k]), dataio.read_mask(gts[k])
+            # scored from the stored bytes: byte k is level k / 255, a mask byte >= 128 is foreground
+            s, gt = dataio.read_pgm_bytes(preds[k]), dataio.read_pgm_bytes(gts[k]) >= 128
             if s.shape != gt.shape:
                 raise DataFormatError(
                     f"sample '{k}': prediction {s.shape} and mask {gt.shape} differ in shape"

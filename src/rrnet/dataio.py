@@ -3,12 +3,15 @@ dataset, and checkpoint serialization.
 
 Images are binary PPM (P6, 8-bit); masks and saliency maps are binary PGM
 (P5, 8-bit). Both formats are byte-auditable, which the round-trip tests
-rely on.
+rely on. `read_pgm_bytes` gives a PGM's payload as it is stored, which
+`metrics.evaluate_pair` scores directly; `read_pgm` and `read_mask` convert
+it to float32 for the network and for library callers.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import struct
 import zlib
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ __all__ = [
     "read_ppm",
     "write_ppm",
     "read_pgm",
+    "read_pgm_bytes",
     "write_pgm",
     "read_mask",
     "augment7",
@@ -76,12 +80,36 @@ class Sample:
 # -- netpbm ---------------------------------------------------------------------
 
 
+# the header nearly every file has: single whitespace separators, no
+# comments, maxval 255; at most 9 digits, so int() cannot fail on a match
+_SIMPLE_PNM_HEADER = re.compile(rb"\s(\d{1,9})\s(\d{1,9})\s255\s")
+
+
 def _parse_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
-    """Returns (width, height, payload_offset); maxval must be 255."""
+    """Returns (width, height, payload_offset); maxval must be 255.
+
+    A simple header is read with one match; any other, including every
+    malformed one, goes through the token scan, which gives the same result
+    on a simple header."""
     if data[:2] != magic:
         raise DataFormatError(
             f"expected {magic.decode()} file, found {data[:2]!r}", path, 0
         )
+    simple = _SIMPLE_PNM_HEADER.match(data, 2)
+    if simple:
+        width, height, maxval, pos = int(simple[1]), int(simple[2]), 255, simple.end()
+    else:
+        width, height, maxval, pos = _scan_pnm_header(data, path)
+    if width <= 0 or height <= 0:
+        raise DataFormatError(f"bad dimensions {width}x{height}", path, 2)
+    if maxval != 255:
+        raise DataFormatError(f"unsupported maxval {maxval} (only 255)", path, 2)
+    return width, height, pos
+
+
+def _scan_pnm_header(data: bytes, path) -> tuple[int, int, int, int]:
+    """(width, height, maxval, payload_offset) of the header after the magic,
+    token by token, with whitespace runs and '#' comments between tokens."""
     pos = 2
     fields: list[int] = []
     while len(fields) < 3:
@@ -104,13 +132,7 @@ def _parse_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
             raise DataFormatError(f"bad header token {token!r}", path, start) from None
     if pos >= len(data):
         raise DataFormatError("missing whitespace after maxval", path, pos)
-    pos += 1  # single whitespace byte separates header from payload
-    width, height, maxval = fields
-    if width <= 0 or height <= 0:
-        raise DataFormatError(f"bad dimensions {width}x{height}", path, 2)
-    if maxval != 255:
-        raise DataFormatError(f"unsupported maxval {maxval} (only 255)", path, 2)
-    return width, height, pos
+    return (*fields, pos + 1)  # single whitespace byte separates header from payload
 
 
 def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
@@ -146,9 +168,14 @@ def write_ppm(path, image: np.ndarray) -> None:
     _write_pnm(path, b"P6", image)
 
 
+def read_pgm_bytes(path) -> np.ndarray:
+    """Read a P5 file's payload as an H x W uint8 array, one byte per pixel."""
+    return _read_pnm(path, b"P5", 1)
+
+
 def read_pgm(path) -> np.ndarray:
     """Read a P5 file into an H x W float32 array scaled to [0, 1]."""
-    return _read_pnm(path, b"P5", 1).astype(np.float32) / 255.0
+    return read_pgm_bytes(path).astype(np.float32) / 255.0
 
 
 def write_pgm(path, values: np.ndarray) -> None:
@@ -160,7 +187,7 @@ def write_pgm(path, values: np.ndarray) -> None:
 
 def read_mask(path) -> np.ndarray:
     """Read a P5 ground-truth mask; bytes >= 128 count as foreground."""
-    return (_read_pnm(path, b"P5", 1) >= 128).astype(np.float32)
+    return (read_pgm_bytes(path) >= 128).astype(np.float32)
 
 
 # -- augmentation -----------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 Every metric of a pair comes from integer histograms: pixel counts per (map
 level, mask bit), over the whole map and over each S-measure block. A map's
-levels are its distinct values in ascending order. An 8-bit map, the kind
-`read_pgm` gives, is recognized from one rounding pass, with no sort: each
-value must be exactly float32(k) / 255 for an integer k in 0..255. Any other
-map goes through `np.unique`. Both paths then keep only the levels some pixel
-has, so they build the same table and the same counts.
+levels are its distinct values in ascending order. A uint8 map is PGM bytes,
+as `rrnet eval` reads them: byte k is level float32(k) / 255, so its bytes
+index the level table directly, and a bool mask is the foreground as it
+stands. A float map whose values are all exactly float32(k) / 255, the kind
+`read_pgm` gives, is recognized from one rounding pass, with no sort. Any
+other map goes through `np.unique`. Every path then keeps only the levels
+some pixel has, so the three build the same table and the same counts.
 
 Every float sum runs over the level table in ascending order, weighted by
 integer counts. A flip or rotation applied to both the prediction and the
@@ -49,8 +51,11 @@ E_EPS = 1e-8  # E-measure's alignment-matrix epsilon
 
 def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate levels of a map in ascending order, and each pixel's index
-    into them: LEVELS8 and the byte values for an 8-bit map, else the
-    distinct values. Raises ValueError outside [0, 1] or on NaN."""
+    into them: LEVELS8 and the bytes for a uint8 map (PGM bytes) or for a
+    float map of exact byte values, else the distinct values. Raises
+    ValueError outside [0, 1] or on NaN."""
+    if s.dtype == np.uint8 and s.size:
+        return LEVELS8, s
     if s.dtype in (np.float32, np.float64) and s.size:
         with np.errstate(over="ignore", invalid="ignore"):
             k = np.asarray(np.rint(s * 255), dtype=np.float32)
@@ -73,16 +78,22 @@ def _distinct_levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_pair(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A checked pair as its candidate levels, a key per pixel (level index,
-    plus the number of levels on foreground) and the foreground."""
+    plus the number of levels on foreground) and the foreground. A bool mask
+    is the foreground as it stands; any other must hold only 0 and 1."""
     s, gt = np.asarray(s), np.asarray(gt)
     if s.shape != gt.shape:
         raise ValueError(f"prediction {s.shape} and ground truth {gt.shape} differ in shape")
     levels, codes = _levels(s)
-    fg = gt == 1.0
-    if not (fg | (gt == 0.0)).all():
-        raise ValueError(f"ground truth must be binary 0/1, found values {np.unique(gt)[:8]}")
-    key = codes.astype(np.intp)
-    np.add(key, levels.size, out=key, where=fg)
+    if gt.dtype == np.bool_:
+        fg = gt
+    else:
+        fg = gt == 1.0
+        if not (fg | (gt == 0.0)).all():
+            raise ValueError(f"ground truth must be binary 0/1, found values {np.unique(gt)[:8]}")
+    # with the block bits _histograms adds, an 8-bit key is below 8 * 256: 2 bytes hold it
+    key = fg.astype(np.uint16 if levels is LEVELS8 else np.intp)
+    key *= levels.size
+    key += codes
     return levels, key, fg
 
 
@@ -230,15 +241,25 @@ def _splits(fg: np.ndarray) -> list[tuple[int, int]]:
     if n_pos in (0, fg.size):
         return []
     rows = _axis_splits(fg.sum(axis=1, dtype=np.int32), n_pos)
-    return [(sr, sc) for sr in rows for sc in _axis_splits(fg.sum(axis=0, dtype=np.int32), n_pos)]
+    cols = _axis_splits(fg.sum(axis=0, dtype=np.int32), n_pos)
+    return [(sr, sc) for sr in rows for sc in cols]
+
+
+def _sorted_sum(values) -> float:
+    """The sum of a few floats in ascending order, added one at a time (the
+    order numpy sums fewer than 8 values in). A flip relabels the terms, and
+    the sorted sum does not see labels."""
+    total = 0.0
+    for x in sorted(values):
+        total += x
+    return total
 
 
 def _region_score(v: np.ndarray, blocks: list[np.ndarray]) -> float:
-    # quadrants get relabeled under flips; summing sorted keeps the result
-    # exact, and the same holds for the two splits of a centroid on a middle
-    # row or column
-    scores = [float(np.sort(_weighted_ssim(v, c)).sum()) for c in blocks]
-    return float(np.sort(scores).sum()) / len(scores)
+    # quadrants get relabeled under flips, and so do the two splits of a
+    # centroid on a middle row or column
+    scores = [_sorted_sum(_weighted_ssim(v, c).tolist()) for c in blocks]
+    return _sorted_sum(scores) / len(scores)
 
 
 def s_measure(s: np.ndarray, gt: np.ndarray) -> float:
@@ -278,13 +299,19 @@ def _e_measure(v: np.ndarray, c: np.ndarray) -> float:
         return (n - n_sb) / n
     if n_pos == n:
         return n_sb / n
-    # cells (gt, sb) = (0, 0), (0, 1), (1, 0), (1, 1)
-    counts = np.array([n - n_pos - n_sb + n_both, n_sb - n_both, n_pos - n_both, n_both])
-    d_gt = np.array([0.0, 0.0, 1.0, 1.0]) - n_pos / n
-    d_sb = np.array([0.0, 1.0, 0.0, 1.0]) - n_sb / n
-    xi = 2.0 * d_gt * d_sb / (np.square(d_gt) + np.square(d_sb) + E_EPS)
-    phi = np.square(xi + 1.0) / 4.0
-    return float(np.sort(counts * phi).sum()) / n
+    # cells (gt, sb) = (0, 0), (0, 1), (1, 0), (1, 1), as (count, gt - its mean, sb - its mean)
+    gt_mean, sb_mean = n_pos / n, n_sb / n
+    cells = [
+        (n - n_pos - n_sb + n_both, 0.0 - gt_mean, 0.0 - sb_mean),
+        (n_sb - n_both, 0.0 - gt_mean, 1.0 - sb_mean),
+        (n_pos - n_both, 1.0 - gt_mean, 0.0 - sb_mean),
+        (n_both, 1.0 - gt_mean, 1.0 - sb_mean),
+    ]
+    terms = []
+    for count, d_gt, d_sb in cells:
+        xi = 2.0 * d_gt * d_sb / (d_gt * d_gt + d_sb * d_sb + E_EPS)
+        terms.append(count * ((xi + 1.0) * (xi + 1.0) / 4.0))
+    return _sorted_sum(terms) / n
 
 
 # -- aggregation ----------------------------------------------------------------
@@ -337,7 +364,9 @@ class MetricReport:
 
 def evaluate_pair(s: np.ndarray, gt: np.ndarray, sample_id: str = "") -> ImageMetrics:
     """Every metric of one pair, from a single check of its inputs and one
-    histogram per S-measure split."""
+    histogram per S-measure split. A uint8 map is read as PGM bytes (level
+    byte / 255) and a bool mask as the foreground, as `rrnet eval` passes
+    them; a float map must lie in [0, 1] and any other mask hold only 0 and 1."""
     levels, key, fg = _check_pair(s, gt)
     v, c, blocks = _histograms(levels, key, _splits(fg))
     row = ImageMetrics(
@@ -386,8 +415,9 @@ def report_to_json(report: MetricReport) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+_THRESHOLD_TEXT = [f"{t:.9f}" for t in THRESHOLDS]
+
+
 def pr_curve_csv(curve: np.ndarray) -> str:
-    lines = ["threshold,precision,recall"]
-    for k in range(256):
-        lines.append(f"{THRESHOLDS[k]:.9f},{curve[k, 0]:.9f},{curve[k, 1]:.9f}")
-    return "\n".join(lines) + "\n"
+    lines = [f"{t},{p:.9f},{r:.9f}" for t, (p, r) in zip(_THRESHOLD_TEXT, curve.tolist())]
+    return "threshold,precision,recall\n" + "\n".join(lines) + "\n"

@@ -796,7 +796,7 @@ class TestEval:
             gt = (rng.uniform(size=(8, 8)) < 0.4).astype(np.float64)
             self._write_pair(pred_d, gt_d, f"s{i}", rng.uniform(size=(8, 8)), gt)
         events = []
-        read_pgm_, evaluate_pair_ = rrnet.dataio.read_pgm, rrnet.metrics.evaluate_pair
+        read_pgm_bytes_, evaluate_pair_ = rrnet.dataio.read_pgm_bytes, rrnet.metrics.evaluate_pair
 
         def logged(tag, fn):
             def call(*args):
@@ -804,14 +804,76 @@ class TestEval:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(rrnet.dataio, "read_pgm", logged("read", read_pgm_))
+        monkeypatch.setattr(rrnet.dataio, "read_pgm_bytes", logged("read", read_pgm_bytes_))
         monkeypatch.setattr(rrnet.metrics, "evaluate_pair", logged("score", evaluate_pair_))
         code, _, _ = run(
             capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
             "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
         )
         assert code == EXIT_OK
-        assert events == ["read", "score"] * 8
+        assert events == ["read", "read", "score"] * 8  # map, mask, score
+
+    def _write_8bit_pairs(self, tmp_path, rng):
+        """Soft and near-binary maps, all-background and all-foreground
+        masks and a single-level map; returns the two directories."""
+        pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"
+        pred_d.mkdir(), gt_d.mkdir()
+        for i in range(6):
+            gt = (rng.uniform(size=(24, 20)) < 0.35).astype(np.float64)
+            pred = rng.uniform(size=gt.shape) if i % 2 else np.where(gt > 0, 0.9, 0.1)
+            self._write_pair(pred_d, gt_d, f"s{i}", pred, gt)
+        self._write_pair(pred_d, gt_d, "background", rng.uniform(size=(24, 20)), np.zeros((24, 20)))
+        self._write_pair(pred_d, gt_d, "foreground", rng.uniform(size=(24, 20)), np.ones((24, 20)))
+        self._write_pair(pred_d, gt_d, "level", np.full((24, 20), 77 / 255), gt)
+        return pred_d, gt_d
+
+    def test_report_equals_float_path_scoring(self, tmp_path, capsys, rng):
+        pred_d, gt_d = self._write_8bit_pairs(tmp_path, rng)
+        ids = sorted(p.stem for p in pred_d.glob("*.pgm"))
+        want = rrnet.metrics.evaluate_pairs(
+            (read_pgm(pred_d / f"{k}.pgm"), rrnet.dataio.read_mask(gt_d / f"{k}.pgm"), k) for k in ids
+        )
+        report, curve = tmp_path / "r.json", tmp_path / "c.csv"
+        code, _, err = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d), "--report", str(report), "--prcurve", str(curve)
+        )
+        assert code == EXIT_OK
+        assert report.read_text() == rrnet.metrics.report_to_json(want)
+        assert curve.read_text() == rrnet.metrics.pr_curve_csv(want.pr)
+        assert err == "warning: 'background' has no foreground; excluded from F/PR\n"
+
+    def test_8bit_pgms_never_take_the_float_path(self, tmp_path, capsys, rng, monkeypatch):
+        # a guard on the speed of eval: the float readers, the rounding pass that
+        # recovers bytes from floats and the distinct-level sort are never called
+        pred_d, gt_d = self._write_8bit_pairs(tmp_path, rng)
+
+        def refuse(name):
+            def call(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+
+            return call
+
+        class NoRint:
+            def __getattr__(self, name):
+                return refuse("np.rint") if name == "rint" else getattr(np, name)
+
+        monkeypatch.setattr(rrnet.dataio, "read_pgm", refuse("read_pgm"))
+        monkeypatch.setattr(rrnet.dataio, "read_mask", refuse("read_mask"))
+        monkeypatch.setattr(rrnet.metrics, "_distinct_levels", refuse("_distinct_levels"))
+        monkeypatch.setattr(rrnet.metrics, "np", NoRint())
+        dtypes, evaluate_pair_ = [], rrnet.metrics.evaluate_pair
+
+        def record(s, gt, sample_id):
+            dtypes.append((s.dtype, gt.dtype))
+            return evaluate_pair_(s, gt, sample_id)
+
+        monkeypatch.setattr(rrnet.metrics, "evaluate_pair", record)
+        code, _, err = run(
+            capsys, "eval", "--pred", str(pred_d), "--gt", str(gt_d),
+            "--report", str(tmp_path / "r.json"), "--prcurve", str(tmp_path / "c.csv"),
+        )
+        assert code == EXIT_OK, err
+        assert dtypes == [(np.uint8, np.bool_)] * 9
 
     def test_all_background_gt_warned_and_excluded(self, tmp_path, capsys, rng):
         pred_d, gt_d = tmp_path / "pred", tmp_path / "gt"

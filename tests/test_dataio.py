@@ -2,11 +2,13 @@
 and checkpoint serialization."""
 
 import math
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from rrnet import dataio
 from rrnet.dataio import (
     AUGMENT_NAMES,
     CheckpointError,
@@ -17,6 +19,7 @@ from rrnet.dataio import (
     load_manifest_samples,
     read_mask,
     read_pgm,
+    read_pgm_bytes,
     read_ppm,
     resize_bilinear,
     resize_nearest,
@@ -97,6 +100,77 @@ class TestNetpbm:
         path.write_bytes(b"P5\n4 1\n255\n" + bytes([0, 127, 128, 255]))
         mask = read_mask(path)
         assert np.array_equal(mask, [[0.0, 0.0, 1.0, 1.0]])
+
+    def test_pgm_bytes_are_the_payload(self, tmp_path):
+        path = tmp_path / "b.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 1, 127, 128, 254, 255]))
+        got = read_pgm_bytes(path)
+        assert got.dtype == np.uint8 and got.tolist() == [[0, 1, 127], [128, 254, 255]]
+        assert np.array_equal(read_pgm(path), got.astype(np.float32) / np.float32(255))
+        assert np.array_equal(read_mask(path), (got >= 128).astype(np.float32))
+
+
+# (header, parse outcome): the tokens, comments and whitespace the scan
+# accepts, and every kind of malformed header with its message and offset
+PNM_HEADERS = [
+    (b"P5\n2 2\n255\n", (2, 2, 11)),
+    (b"P5 2 1 255 ", (2, 1, 11)),
+    (b"P5\t2\t1\t255\t", (2, 1, 11)),
+    (b"P5\n002 001\n255\n", (2, 1, 15)),
+    (b"P5\n# a\n2\n# b\n1\n# c\n255\n", (2, 1, 23)),  # a comment between every pair of tokens
+    (b"P5  \n\n 2 \t 1\r\n255\n", (2, 1, 18)),
+    (b"P5\r\n2 1\r\n255\r\n", (2, 1, 13)),  # one whitespace byte ends the header: the payload starts at \n
+    (b"P5\n02 01\n0255\n", (2, 1, 14)),
+    (b"P5\n1234567890 2\n255\n", (1234567890, 2, 20)),
+    (b"P5\n+2 2\n255\n", (2, 2, 12)),
+    # int() refuses more than 4,300 digits
+    (b"P5\n" + b"1" * 5000 + b" 2\n255\n", f"bad header token {b'1' * 5000!r} in f.pgm at byte 3"),
+    (b"P4\n2 2\n255\n", "expected P5 file, found b'P4' in f.pgm at byte 0"),
+    (b"P5\nwide 2\n255\n", "bad header token b'wide' in f.pgm at byte 3"),
+    (b"P5\n2 x2\n255\n", "bad header token b'x2' in f.pgm at byte 5"),
+    (b"P5\n2#x 2\n255\n", "bad header token b'2#x' in f.pgm at byte 3"),
+    (b"P5\n2 2\n65535\n", "unsupported maxval 65535 (only 255) in f.pgm at byte 2"),
+    (b"P5\n2 2\n256\n", "unsupported maxval 256 (only 255) in f.pgm at byte 2"),
+    (b"P5\n0 2\n255\n", "bad dimensions 0x2 in f.pgm at byte 2"),
+    (b"P5\n-2 2\n255\n", "bad dimensions -2x2 in f.pgm at byte 2"),
+    (b"P5", "truncated header in f.pgm at byte 2"),
+    (b"P5\n2 2", "truncated header in f.pgm at byte 6"),
+    (b"P5\n# only a comment", "truncated header in f.pgm at byte 19"),
+    (b"P5\n2 2\n255", "missing whitespace after maxval in f.pgm at byte 10"),  # ends at EOF
+    (b"P5 2 2 255", "missing whitespace after maxval in f.pgm at byte 10"),
+]
+SIMPLE_HEADERS = PNM_HEADERS[:4]
+
+
+def header_outcome(data):
+    try:
+        return dataio._parse_pnm_header(data, b"P5", "f.pgm")
+    except DataFormatError as e:
+        return str(e)
+
+
+class TestPnmHeader:
+    @pytest.mark.parametrize("data, want", PNM_HEADERS, ids=[repr(data[:24]) for data, _ in PNM_HEADERS])
+    def test_outcome_message_and_offset(self, data, want):
+        assert header_outcome(data) == want
+
+    def test_one_match_agrees_with_the_token_scan(self, monkeypatch):
+        monkeypatch.setattr(dataio, "_SIMPLE_PNM_HEADER", re.compile(rb"(?!)"))  # matches nothing
+        assert [header_outcome(data) for data, _ in PNM_HEADERS] == [want for _, want in PNM_HEADERS]
+
+    def test_simple_header_is_read_without_the_token_scan(self, monkeypatch):
+        def refuse(data, path):
+            raise AssertionError("token scan")
+
+        monkeypatch.setattr(dataio, "_scan_pnm_header", refuse)
+        assert [header_outcome(data) for data, _ in SIMPLE_HEADERS] == [want for _, want in SIMPLE_HEADERS]
+
+    def test_header_ending_at_eof_leaves_the_payload_truncated(self, tmp_path):
+        path = tmp_path / "empty.pgm"
+        path.write_bytes(b"P5\n2 2\n255\n")
+        with pytest.raises(DataFormatError) as info:
+            read_pgm_bytes(path)
+        assert str(info.value) == f"payload truncated: expected 4 bytes, found 0 in {path} at byte 11"
 
 
 def asymmetric_sample(rng, h=6, w=6):

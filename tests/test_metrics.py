@@ -294,6 +294,14 @@ def pgm_pair(rng, size=224):
     return np.rint(soft * 255).astype(np.uint8).astype(np.float32) / 255.0, gt
 
 
+def as_pgm_bytes(s, gt):
+    """An 8-bit map and a 0/1 mask as `rrnet eval` scores them: the map's
+    bytes and the mask as bool."""
+    codes = np.rint(np.asarray(s, dtype=np.float64) * 255).astype(np.uint8)
+    assert np.array_equal(codes.astype(np.float32) / np.float32(255), s)
+    return codes, gt == 1.0
+
+
 def row_values(row):
     return (row.mae, row.s_m, row.e_m, row.f_beta_max, None if row.pr is None else row.pr.tobytes())
 
@@ -541,6 +549,7 @@ class TestBoundsAndInvariance:
         pairs.append(pgm_pair(rng))
         # 8-bit maps: the order of the four block sums shows in about 1 pair in 40
         pairs += [(pgm_pair(rng, 16)[0], random_pair(rng, 16, 16)[1]) for _ in range(120)]
+        pairs += [as_pgm_bytes(s, gt) for s, gt in pairs[-121:]]  # and scored from their bytes
         for s, gt in pairs:
             base = row_values(evaluate_pair(s, gt))
             for sv, gv in zip(dihedral_variants(s), dihedral_variants(gt)):
@@ -614,9 +623,33 @@ class TestLevelHistograms:
         evaluate_pair(s, gt)
         for metric in (mae, pr_curve, f_measure, s_measure, e_measure):
             metric(s, gt)
-        assert max(guard.sizes) <= 16
+        assert max(guard.sizes, default=0) <= 16  # no sort at all counts too
         evaluate_pair(s.astype(np.float64) * 0.999, gt)  # not 8-bit: the guard does see a pixel sort
         assert max(guard.sizes) == s.size
+
+    def test_bytes_score_as_the_float_path(self, rng):
+        gt16 = [random_pair(rng, 16, 16)[1] for _ in range(120)]
+        pairs = [pgm_pair(rng)] + [(pgm_pair(rng, 16)[0], gt) for gt in gt16]
+        s = pgm_pair(rng, 16)[0]
+        pairs += [(s, np.zeros((16, 16))), (s, np.ones((16, 16)))]
+        pairs += [(np.full((9, 7), np.float32(level) / np.float32(255)), gt16[0][:9, :7]) for level in (0, 77, 255)]
+        for s, gt in pairs:
+            codes, fg = as_pgm_bytes(s, gt)
+            assert row_values(evaluate_pair(codes, fg)) == row_values(evaluate_pair(s, gt))
+        levels, key, _ = metrics._check_pair(codes, fg)
+        assert levels is metrics.LEVELS8 and key.dtype == np.uint16
+
+    def test_uint8_map_is_read_as_pgm_bytes(self):
+        # byte k is level k / 255, so a 0/1 uint8 map reads as 0 and 1/255, no longer as 0.0 and 1.0
+        gt = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        codes = gt.astype(np.uint8)
+        levels, got = metrics._levels(codes)
+        assert levels is metrics.LEVELS8 and got is codes
+        want = row_values(evaluate_pair(codes.astype(np.float32) / np.float32(255), gt))
+        assert row_values(evaluate_pair(codes, gt)) == want
+        assert mae(gt, gt) == 0.0
+        assert mae(codes, gt) == pytest.approx(0.5 * (1.0 - 1.0 / 255.0), rel=0, abs=1e-9)
+        assert mae(np.full((2, 3), 200, dtype=np.uint8), gt) == pytest.approx(0.5, rel=0, abs=1e-9)
 
     def test_levels8_is_what_read_pgm_gives(self, tmp_path):
         from rrnet.dataio import read_pgm, write_pgm
