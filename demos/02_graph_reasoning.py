@@ -9,11 +9,11 @@ Run:  python demos/02_graph_reasoning.py
 import numpy as np
 
 from rrnet.graph import (
-    adjacency,
+    canonical_vertex_order,
     crr,
     non_local_block,
     nonlocal_shapes,
-    normalized_laplacian,
+    reasoning_forward,
     reasoning_shapes,
     srr,
 )
@@ -30,12 +30,12 @@ params = init_params(reasoning_shapes(6), rng, np.float32)  # {"proj_w": Tensor,
 m = reshape(x, (16, 6))  # vertex k is pixel (k // 4, k % 4)
 print(f"spatial graph: {m.shape[0]} vertexes x {m.shape[1]} features")
 
-adj = adjacency(m, params)
-print("adjacency symmetric:", np.array_equal(adj.data, adj.data.T))
-print("adjacency non-negative:", bool((adj.data >= 0).all()))
+# the forward pass srr runs, on the vertexes in the canonical order it uses
+f = reasoning_forward(m.data[canonical_vertex_order(m.data)], params)
+print("adjacency symmetric:", np.array_equal(f.adj, f.adj.T))
+print("adjacency non-negative:", bool((f.adj >= 0).all()))
 
-lap = normalized_laplacian(adj)
-eigs = np.linalg.eigvalsh(lap.data.astype(np.float64))
+eigs = np.linalg.eigvalsh(f.lap.astype(np.float64))
 print(f"Laplacian spectrum in [0, 2]: min {eigs.min():.3e}, max {eigs.max():.6f}")
 
 # -- the reasoning step and its shape contract ---------------------------------------

@@ -6,37 +6,27 @@ reasoning. A learned non-negative adjacency is built from projected rows of
 M, and the features are propagated through the symmetric normalized
 Laplacian followed by a trainable square weight matrix: relu(L M Theta).
 
-graph_reason records the whole pipeline as one tape op: its forward pass is
-the numpy composition of adjacency and normalized_laplacian, in the same
-order, so its bytes are theirs, and its backward pass is written out in
-closed form. adjacency and normalized_laplacian stay as the Tensor-op
-reference that the tests and the self-check compare against.
+graph_reason records the whole pipeline as one tape op. Its forward pass is
+reasoning_forward, which returns the adjacency, the Laplacian and every other
+array the backward pass reads; the self-check and the demo inspect the same
+function, so they see the bytes the network computes. The backward pass is
+written out in closed form.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .tensor import (
-    NumericalError,
-    Tensor,
-    _from_op,
-    clip,
-    global_vertex_avg,
-    power,
-    relu,
-    reshape,
-    softmax,
-    tensor_sum,
-    transpose,
-)
+from .tensor import NumericalError, Tensor, _from_op, reshape, softmax, transpose
 
 __all__ = [
     "reasoning_shapes",
     "nonlocal_shapes",
     "canonical_vertex_order",
-    "adjacency",
-    "normalized_laplacian",
+    "ReasoningForward",
+    "reasoning_forward",
     "graph_reason",
     "srr",
     "crr",
@@ -80,65 +70,39 @@ def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
     return np.lexsort(cols)
 
 
-def _check_feature_dim(a2: int, p: dict[str, Tensor]) -> None:
-    if p["proj_w"].shape != (a2, a2) or p["theta"].shape != (a2, a2):
-        raise ValueError(
-            f"reasoning params sized for feature dim {p['proj_w'].shape[0]}, graph has {a2}"
-        )
+class ReasoningForward(NamedTuple):
+    """The forward pass of graph_reason on vertex rows mc, with every array
+    its closed-form backward reads: Z = mc Wp + bp, P = relu(Z), mu the
+    vertex mean, Y = mu Wl + bl, lambda = relu(Y), the symmetric adjacency
+    A, the degrees A 1 and their clip D, s = D^(-1/2), S = s s^T, the
+    Laplacian L = I - A*S, H = L mc and O = H Theta."""
+
+    mc: np.ndarray
+    z: np.ndarray
+    proj: np.ndarray
+    mu: np.ndarray
+    y: np.ndarray
+    lam: np.ndarray
+    adj: np.ndarray
+    deg: np.ndarray
+    dc: np.ndarray
+    s: np.ndarray
+    scale: np.ndarray
+    lap: np.ndarray
+    h: np.ndarray
+    o: np.ndarray
 
 
-def adjacency(m: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """Non-negative pairwise similarity of the rows (vertexes) of m, with a
-    learned diagonal metric."""
-    _check_feature_dim(m.shape[1], p)
-    proj = relu(m @ p["proj_w"] + p["proj_b"])
-    lam = relu(global_vertex_avg(m) @ p["lambda_w"] + p["lambda_b"])  # 1 x a2 diagonal
-    adj = (proj * lam) @ transpose(proj)
-    # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
-    adj = (adj + transpose(adj)) * 0.5
-    if not np.isfinite(adj.data).all():
-        raise NumericalError("adjacency produced non-finite entries")
-    return adj
-
-
-def normalized_laplacian(adj: Tensor) -> Tensor:
-    """I - D^{-1/2} A D^{-1/2} with degrees clamped away from zero."""
-    if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-        raise ValueError(f"adjacency must be square, got shape {adj.shape}")
-    if (adj.data < 0).any():
-        raise ValueError("adjacency entries must be non-negative")
-    n = adj.shape[0]
-    deg = clip(tensor_sum(adj, axis=1), lo=DEGREE_EPS)
-    inv_sqrt = power(deg, -0.5)
-    scale = reshape(inv_sqrt, (n, 1)) * reshape(inv_sqrt, (1, n))
-    eye = Tensor(np.eye(n, dtype=adj.dtype))
-    return eye + adj * scale * -1.0
-
-
-def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
-    """relu(L M Theta) for a vertex-feature matrix M (one row per vertex).
-
-    The pipeline runs in canonical vertex order (see canonical_vertex_order)
-    and the rows are put back afterwards, so results do not depend on how the
-    caller happened to label the vertexes.
-
-    One tape op. The forward pass repeats, in numpy and in the same order,
-    what adjacency and normalized_laplacian compute, so its bytes equal the
-    composed Tensor pipeline's. With Q = P*lambda, A0 = Q P^T, A = (A0 +
-    A0^T)/2, s = clip(A 1, DEGREE_EPS)^(-1/2), L = I - A*(s s^T), H = L M and
-    O = H Theta, the backward pass runs the chain rule through them in
-    closed form.
-    """
-    n, a2 = m.shape
-    _check_feature_dim(a2, p)
-    wp, bp, wl, bl, theta = (p[k] for k in ("proj_w", "proj_b", "lambda_w", "lambda_b", "theta"))
-    order = canonical_vertex_order(m.data)
-    inv = np.argsort(order)
-    mc = m.data[order]
-    z = mc @ wp.data + bp.data
+def reasoning_forward(mc: np.ndarray, p: dict[str, Tensor]) -> ReasoningForward:
+    """Propagate the vertex rows mc (one row per vertex, in the order given)
+    through the learned adjacency and its normalized Laplacian, up to
+    L mc Theta before the relu. graph_reason runs exactly this on the
+    canonically ordered rows."""
+    n = mc.shape[0]
+    z = mc @ p["proj_w"].data + p["proj_b"].data
     proj = np.maximum(z, 0)
     mu = mc.mean(axis=0, keepdims=True)
-    y = mu @ wl.data + bl.data
+    y = mu @ p["lambda_w"].data + p["lambda_b"].data
     lam = np.maximum(y, 0)
     adj = (proj * lam) @ proj.T
     # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
@@ -151,37 +115,57 @@ def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
     scale = s.reshape(n, 1) * s.reshape(1, n)
     lap = np.eye(n, dtype=adj.dtype) + adj * scale * -1.0
     h = lap @ mc
-    o = h @ theta.data
+    o = h @ p["theta"].data
+    return ReasoningForward(mc, z, proj, mu, y, lam, adj, deg, dc, s, scale, lap, h, o)
+
+
+def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
+    """relu(L M Theta) for a vertex-feature matrix M (one row per vertex).
+
+    The pipeline runs in canonical vertex order (see canonical_vertex_order)
+    and the rows are put back afterwards, so results do not depend on how the
+    caller happened to label the vertexes.
+
+    One tape op: the forward pass is reasoning_forward, and the backward
+    pass runs the chain rule through its arrays in closed form.
+    """
+    n, a2 = m.shape
+    wp, bp, wl, bl, theta = (p[k] for k in ("proj_w", "proj_b", "lambda_w", "lambda_b", "theta"))
+    if wp.shape != (a2, a2) or theta.shape != (a2, a2):
+        raise ValueError(f"reasoning params sized for feature dim {wp.shape[0]}, graph has {a2}")
+    order = canonical_vertex_order(m.data)
+    inv = np.argsort(order)
+    f = reasoning_forward(m.data[order], p)
 
     def backward(g):
-        go = g[order] * (o > 0)
+        go = g[order] * (f.o > 0)
         if theta.requires_grad:
-            theta._accumulate(h.T @ go)
+            theta._accumulate(f.h.T @ go)
         gh = go @ theta.data.T
-        gl = gh @ mc.T
+        gl = gh @ f.mc.T
         # L = I - A*S with S = s s^T; the degree path adds dL/ddeg_i to row i
-        gs = gl * adj * -1.0
-        gdc = (gs @ s + gs.T @ s) * -0.5 * np.power(dc, -1.5)
-        ga = gl * scale * -1.0 + (gdc * (deg >= DEGREE_EPS)).reshape(n, 1)
+        gs = gl * f.adj * -1.0
+        gdc = (gs @ f.s + gs.T @ f.s) * -0.5 * np.power(f.dc, -1.5)
+        ga = gl * f.scale * -1.0 + (gdc * (f.deg >= DEGREE_EPS)).reshape(n, 1)
         ga0 = (ga + ga.T) * 0.5
         # A0 = Q P^T with a symmetric gradient dA0: dQ = dA0 P, and
         # dP = dA0 Q + dQ*lambda = 2 dQ*lambda, since Q = P*lambda
-        gq = ga0 @ proj
-        gy = (gq * proj).sum(axis=0, keepdims=True) * (y > 0)
-        gz = gq * lam * 2.0 * (z > 0)
+        gq = ga0 @ f.proj
+        gy = (gq * f.proj).sum(axis=0, keepdims=True) * (f.y > 0)
+        gz = gq * f.lam * 2.0 * (f.z > 0)
         if wl.requires_grad:
-            wl._accumulate(mu.T @ gy)
+            wl._accumulate(f.mu.T @ gy)
         if bl.requires_grad:
             bl._accumulate(gy.reshape(a2))
         if wp.requires_grad:
-            wp._accumulate(mc.T @ gz)
+            wp._accumulate(f.mc.T @ gz)
         if bp.requires_grad:
             bp._accumulate(gz.sum(axis=0))
         if m.requires_grad:
-            gm = lap.T @ gh + gz @ wp.data.T + (gy @ wl.data.T) / n
+            gm = f.lap.T @ gh + gz @ wp.data.T + (gy @ wl.data.T) / n
             m._accumulate(gm[inv])
 
-    return _from_op(np.maximum(o, 0)[inv], (m, wp, bp, wl, bl, theta), backward)
+    return _from_op(np.maximum(f.o, 0)[inv], (m, wp, bp, wl, bl, theta), backward)
 
 
 def _hwc(x: Tensor, name: str) -> tuple[int, int, int]:

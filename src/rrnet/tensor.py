@@ -52,7 +52,6 @@ __all__ = [
     "conv2d",
     "upsample2x",
     "channel_pool",
-    "global_vertex_avg",
     "take_rows",
 ]
 
@@ -665,16 +664,3 @@ def channel_pool(a) -> Tensor:
         a._accumulate(grad)
 
     return _from_op(pooled.reshape(a.shape[:2] + (-1,)), (a,), backward)
-
-
-def global_vertex_avg(a) -> Tensor:
-    """Mean over graph vertexes (rows), a1 x a2 -> 1 x a2."""
-    a = _wrap(a)
-    if a.ndim != 2:
-        raise ValueError(f"global_vertex_avg needs a rank-2 input, got shape {a.shape}")
-    n = a.shape[0]
-
-    def backward(g):
-        a._accumulate(np.broadcast_to(g / n, a.shape))
-
-    return _from_op(a.data.mean(axis=0, keepdims=True), (a,), backward)

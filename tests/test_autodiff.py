@@ -117,6 +117,18 @@ def test_op_gradients_match_finite_differences(name):
 
 
 class TestNumericalGradientHelper:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gradcheck_fails_a_non_finite_gradient(self, bad):
+        # NaN compares false with every tolerance, and inf is within rtol of inf
+        a = Tensor(np.ones(3), requires_grad=True, dtype=np.float64)
+
+        def double(x):
+            return T._from_op(x.data * 2.0, (x,), lambda g: x._accumulate(g * bad))
+
+        res = gradcheck(lambda: T.tensor_sum(double(a)), [("a", a)])
+        assert not res.ok
+        assert res.max_rel_error == np.inf and res.worst_param == "a"
+
     def test_matches_known_derivative(self):
         x = Tensor([2.0], requires_grad=True, dtype=np.float64)
         num = numerical_gradient(lambda: T.tensor_sum(x * x * x), x)

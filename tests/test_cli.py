@@ -984,6 +984,25 @@ class TestSelfCheck:
         assert checks == len(run_self_check(trials=1))
         assert cases == len(list(op_cases(np.random.default_rng(0))))
 
+    def test_graph_checks_read_the_forward_graph_reason_runs(self, monkeypatch):
+        import rrnet.graph as graph
+        from rrnet.checks import run_self_check
+
+        forward = graph.reasoning_forward
+        shapes = []
+
+        def unsymmetrized(mc, p):
+            f = forward(mc, p)
+            adj = f.adj.copy()
+            adj[0, -1] = np.nextafter(adj[0, -1], np.inf)  # one ulp off symmetric
+            shapes.append(mc.shape)
+            return f._replace(adj=adj)
+
+        monkeypatch.setattr(graph, "reasoning_forward", unsymmetrized)
+        failed = {r.name for r in run_self_check(trials=1) if not r.ok}
+        assert failed == {"graph/adjacency_symmetric"}
+        assert (16, 6) in shapes  # the 4 x 4 x 6 map's spatial graph
+
     def test_zero_trials_is_usage_error(self, capsys):
         code, out, err = run(capsys, "self-check", "--trials", "0")
         assert code == EXIT_USAGE

@@ -5,18 +5,28 @@ import pytest
 
 from rrnet.graph import (
     DEGREE_EPS,
-    adjacency,
     canonical_vertex_order,
     crr,
     graph_reason,
     non_local_block,
     nonlocal_shapes,
-    normalized_laplacian,
+    reasoning_forward,
     reasoning_shapes,
     srr,
 )
 from rrnet.init import init_params
-from rrnet.tensor import NumericalError, Tensor, relu, reshape, take_rows, tensor_sum, transpose
+from rrnet.tensor import (
+    NumericalError,
+    Tensor,
+    _from_op,
+    clip,
+    power,
+    relu,
+    reshape,
+    take_rows,
+    tensor_sum,
+    transpose,
+)
 
 
 def reasoning_params(feature_dim, rng, dtype=np.float32):
@@ -39,6 +49,39 @@ def identity_params(a2, lam_bias=1.0, dtype=np.float64):
     }
 
 
+# -- the Tensor-op oracle: graph_reason's forward as a composition of tape ops,
+# in the same order as reasoning_forward, so its bytes must equal the fused
+# op's and its gradients come from the ops' own backward passes
+
+
+def vertex_mean(a):
+    """The mean over rows, 1 x a2, with mc.mean(axis=0)'s bytes (a tensor_sum
+    times 1/n rounds differently)."""
+    n = a.shape[0]
+    return _from_op(
+        a.data.mean(axis=0, keepdims=True),
+        (a,),
+        lambda g: a._accumulate(np.broadcast_to(g / n, a.shape)),
+    )
+
+
+def adjacency(m, p):
+    """Non-negative similarity of the rows of m under a learned diagonal metric."""
+    proj = relu(m @ p["proj_w"] + p["proj_b"])
+    lam = relu(vertex_mean(m) @ p["lambda_w"] + p["lambda_b"])  # 1 x a2 diagonal
+    adj = (proj * lam) @ transpose(proj)
+    return (adj + transpose(adj)) * 0.5
+
+
+def normalized_laplacian(adj):
+    """I - D^{-1/2} A D^{-1/2} with degrees clamped away from zero."""
+    n = adj.shape[0]
+    deg = clip(tensor_sum(adj, axis=1), lo=DEGREE_EPS)
+    inv_sqrt = power(deg, -0.5)
+    scale = reshape(inv_sqrt, (n, 1)) * reshape(inv_sqrt, (1, n))
+    return Tensor(np.eye(n, dtype=adj.dtype)) + adj * scale * -1.0
+
+
 def composed_graph_reason(m, p):
     """graph_reason as a composition of Tensor ops: the reference for the fused op."""
     order = canonical_vertex_order(m.data)
@@ -48,21 +91,23 @@ def composed_graph_reason(m, p):
 
 
 class TestAdjacency:
+    """The adjacency reasoning_forward computes, which graph_reason runs."""
+
     def test_gram_of_identity_rows(self):
-        adj = adjacency(Tensor(np.eye(2), dtype=np.float64), identity_params(2))
-        assert np.allclose(adj.data, np.eye(2), atol=1e-12)
+        adj = reasoning_forward(np.eye(2), identity_params(2)).adj
+        assert np.allclose(adj, np.eye(2), atol=1e-12)
 
     def test_zero_projected_row_zeroes_row_and_column(self, rng):
         m = rng.uniform(0.1, 1.0, size=(4, 3))
         m[2] = -1.0  # relu of the identity projection kills this vertex
-        adj = adjacency(Tensor(m, dtype=np.float64), identity_params(3)).data
+        adj = reasoning_forward(m, identity_params(3)).adj
         assert np.array_equal(adj[2], np.zeros(4))
         assert np.array_equal(adj[:, 2], np.zeros(4))
 
     def test_matches_double_loop_oracle(self, rng):
         m = rng.standard_normal((5, 4))
         p = reasoning_params(4, rng, np.float64)
-        got = adjacency(Tensor(m, dtype=np.float64), p).data
+        got = reasoning_forward(m, p).adj
         # independent scalar pipeline: x_i^T Lambda x_j over projected rows
         proj = np.maximum(m @ p["proj_w"].data + p["proj_b"].data, 0.0)
         lam = np.maximum(m.mean(axis=0) @ p["lambda_w"].data + p["lambda_b"].data, 0.0)
@@ -75,44 +120,56 @@ class TestAdjacency:
     def test_symmetry_exact_on_random_inputs(self, rng):
         for _ in range(10):
             m = rng.standard_normal((8, 6)).astype(np.float32)
-            p = reasoning_params(6, rng)
-            adj = adjacency(Tensor(m), p).data
+            adj = reasoning_forward(m, reasoning_params(6, rng)).adj
+            assert adj.dtype == np.float32
             assert np.array_equal(adj, adj.T)
             assert (adj >= 0).all()
+
+    def test_matches_tensor_op_oracle_bit_for_bit(self, rng):
+        for dtype in (np.float32, np.float64):
+            m = rng.standard_normal((9, 5)).astype(dtype)
+            p = reasoning_params(5, rng, dtype)
+            f = reasoning_forward(m, p)
+            adj = adjacency(Tensor(m), p)
+            assert np.array_equal(f.adj, adj.data)
+            assert np.array_equal(f.lap, normalized_laplacian(adj).data)
 
     def test_dimension_mismatch_rejected(self, rng):
         p = reasoning_params(3, rng)
         with pytest.raises(ValueError, match="feature dim"):
-            adjacency(Tensor(np.zeros((5, 4))), p)
+            graph_reason(Tensor(np.zeros((5, 4))), p)
+        with pytest.raises(ValueError, match="feature dim"):
+            srr(Tensor(np.zeros((2, 2, 4))), p)
 
 
 class TestNormalizedLaplacian:
     def test_two_vertex_exchange(self):
+        # a graph without self-loops, which no Gram adjacency gives: it pins the oracle
         lap = normalized_laplacian(Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]), dtype=np.float64))
         assert np.allclose(lap.data, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12)
 
     def test_uniform_two_vertex(self):
-        lap = normalized_laplacian(Tensor(np.ones((2, 2)), dtype=np.float64))
-        assert np.allclose(lap.data, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+        # two equal rows: every adjacency entry is 1
+        f = reasoning_forward(np.array([[1.0, 0.0], [1.0, 0.0]]), identity_params(2))
+        assert np.array_equal(f.adj, np.ones((2, 2)))
+        assert np.allclose(f.lap, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_eigenvalues_in_zero_two_band(self, rng):
         for _ in range(100):
-            raw = rng.uniform(size=(6, 6))
-            adj = (raw + raw.T) / 2
-            eigs = np.linalg.eigvalsh(normalized_laplacian(Tensor(adj, dtype=np.float64)).data)
+            m = rng.standard_normal((6, 4))
+            lap = reasoning_forward(m, reasoning_params(4, rng, np.float64)).lap
+            eigs = np.linalg.eigvalsh(lap)
             assert eigs.min() >= -1e-8
             assert eigs.max() <= 2.0 + 1e-8
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            normalized_laplacian(Tensor(np.array([[0.0, -1.0], [-1.0, 0.0]])))
-
-    def test_degree_clamp_handles_isolated_vertex(self):
-        adj = np.zeros((3, 3))
-        adj[0, 1] = adj[1, 0] = 1.0
-        lap = normalized_laplacian(Tensor(adj, dtype=np.float64)).data
-        assert np.isfinite(lap).all()
-        assert lap[2, 2] == 1.0
+    def test_degree_clamp_handles_isolated_vertex(self, rng):
+        m = rng.uniform(0.1, 1.0, size=(3, 3))
+        m[2] = -1.0  # a zero projected row: degree 0, clamped to DEGREE_EPS
+        f = reasoning_forward(m, identity_params(3))
+        assert f.deg[2] == 0.0 and f.dc[2] == DEGREE_EPS
+        assert np.isfinite(f.lap).all()
+        assert f.lap[2, 2] == 1.0
+        assert np.array_equal(f.lap[2, :2], np.zeros(2))
 
 
 class TestGraphReason:
@@ -276,7 +333,7 @@ class TestFusedBackward:
             p[name].data[:] = np.abs(p[name].data) + 0.1
         p["proj_b"].data[:] = [-0.05, -0.05, 1e-9]
         m = Tensor(data, requires_grad=True, dtype=np.float64)
-        deg = adjacency(m, p).data.sum(axis=1)
+        deg = reasoning_forward(data, p).deg
         assert 0 < deg[2] < DEGREE_EPS and (np.delete(deg, 2) > DEGREE_EPS).all()
         self.assert_backward_matches(m, p, rng)
 

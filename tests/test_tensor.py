@@ -11,7 +11,6 @@ from rrnet.tensor import (
     clip,
     concat,
     conv2d,
-    global_vertex_avg,
     matmul,
     relu,
     reshape,
@@ -281,17 +280,9 @@ class TestPool:
         down = up.reshape(5, 2, 7, 2, 3).mean(axis=(1, 3))
         assert np.array_equal(down.astype(np.float32), x)
 
-    def test_global_vertex_avg(self, rng):
-        m = rng.standard_normal((6, 4))
-        out = global_vertex_avg(Tensor(m, dtype=np.float64)).data
-        assert out.shape == (1, 4)
-        assert np.abs(out[0] - m.mean(axis=0)).max() < 1e-12
-
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank-3"):
             channel_pool(Tensor(np.zeros((3, 3))))
-        with pytest.raises(ValueError, match="rank-2"):
-            global_vertex_avg(Tensor(np.zeros((3, 3, 1))))
 
 
 class TestDescriptorOracle:
