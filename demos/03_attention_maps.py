@@ -10,10 +10,10 @@ from pathlib import Path
 
 import numpy as np
 
-from rrnet.attention import descriptor, fuse_maps, left_branch, pma, pma_shapes, right_branch
+from rrnet.attention import fuse_maps, left_branch, pma, pma_shapes, right_branch
 from rrnet.dataio import synth_dataset, write_pgm, write_ppm
 from rrnet.init import init_params
-from rrnet.tensor import Tensor
+from rrnet.tensor import Tensor, channel_pool
 
 out_dir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).parent / "out"
 out_dir.mkdir(parents=True, exist_ok=True)
@@ -25,7 +25,7 @@ write_pgm(out_dir / "mask.pgm", sample.mask)
 x = Tensor(sample.image)
 params = init_params(pma_shapes(3), 3, np.float32)  # {"left.k3.w": Tensor, ...}
 
-d = descriptor(x)
+d = channel_pool(x)
 print("descriptor shape:", d.shape, "(channel average and channel max)")
 write_pgm(out_dir / "descriptor_avg.pgm", d.data[:, :, 0])
 write_pgm(out_dir / "descriptor_max.pgm", d.data[:, :, 1])

@@ -27,7 +27,6 @@ __all__ = [
     "SCALES",
     "conv_shapes",
     "pma_shapes",
-    "descriptor",
     "left_branch",
     "right_branch",
     "fuse_maps",
@@ -58,10 +57,6 @@ def pma_shapes(channels: int) -> dict[str, tuple[int, ...]]:
     for k in SCALES:
         shapes |= conv_shapes(ATT_SIZE, 2, 1, f"att.k{k}.")
     return shapes | conv_shapes(1, 2, 1, "fuse.")
-
-
-# CBAM's two-channel pooling descriptor: per-pixel channel average and max.
-descriptor = channel_pool
 
 
 def _attention_kernel(p: dict[str, Tensor], branches: tuple[str, ...]) -> tuple[Tensor, Tensor]:

@@ -309,15 +309,12 @@ def main(argv=None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError,) as e:
-        if isinstance(e, (DataFormatError, CheckpointError)):
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as e:
+    except (DataFormatError, CheckpointError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except ValueError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .tensor import Tensor
@@ -33,41 +31,15 @@ def xavier_uniform(shape, seed, dtype=np.float32) -> Tensor:
     return Tensor(values, requires_grad=True)
 
 
-def _skip(rng: np.random.Generator, n: int) -> None:
-    """Move rng past n uniform draws without making them, so it ends where
-    drawing them would leave it. PCG64 takes one step per draw; its buffered
-    32-bit half-word, which advance() clears, is put back. Any other bit
-    generator draws them."""
-    if n == 0:
-        return
-    bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64:
-        rng.random(n)
-        return
-    before = bg.state
-    bg.advance(n)
-    bg.state = {**bg.state, "has_uint32": before["has_uint32"], "uinteger": before["uinteger"]}
-
-
-def init_params(shapes: dict[str, tuple[int, ...]], seed, dtype=np.float32, keep=None) -> dict[str, Tensor]:
+def init_params(shapes: dict[str, tuple[int, ...]], seed, dtype=np.float32) -> dict[str, Tensor]:
     """One trainable tensor per entry of a {name: shape} table, drawn in table
     order from one generator: Xavier-uniform for rank 2 or more, zeros for
-    rank 1. A zero entry draws nothing.
-
-    With `keep`, a collection of names, only those entries are made. The
-    generator skips the others' draws without making them, so a kept entry
-    holds the values a draw of the whole table gives it."""
+    rank 1. A zero entry draws nothing."""
     rng = np.random.default_rng(seed)
     out: dict[str, Tensor] = {}
-    skipped = 0
     for name, shape in shapes.items():
-        if keep is not None and name not in keep:
-            skipped += math.prod(shape) if len(shape) >= 2 else 0
-        elif len(shape) >= 2:
-            _skip(rng, skipped)
-            skipped = 0
+        if len(shape) >= 2:
             out[name] = xavier_uniform(shape, rng, dtype)
         else:
             out[name] = Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-    _skip(rng, skipped)
     return out

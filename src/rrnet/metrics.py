@@ -3,12 +3,12 @@
 Every metric of a pair comes from integer histograms: pixel counts per (map
 level, mask bit), over the whole map and over each S-measure block. A map's
 levels are its distinct values in ascending order. A uint8 map is PGM bytes,
-as `rrnet eval` reads them: byte k is level float32(k) / 255, so its bytes
-index the level table directly, and a bool mask is the foreground as it
-stands. A float map whose values are all exactly float32(k) / 255, the kind
-`read_pgm` gives, is recognized from one rounding pass, with no sort. Any
-other map goes through `np.unique`. Every path then keeps only the levels
-some pixel has, so the three build the same table and the same counts.
+as `rrnet eval` reads them with `read_pgm_bytes`: byte k is level
+float32(k) / 255, so its bytes index the level table directly, with no sort,
+and a bool mask is the foreground as it stands. This is the fast path. Every
+other map, a float one from `read_pgm` included, goes through `np.unique`.
+Both paths then keep only the levels some pixel has, so a float map of byte
+values and its bytes build the same table and the same counts.
 
 Every float sum runs over the level table in ascending order, weighted by
 integer counts. A flip or rotation applied to both the prediction and the
@@ -51,18 +51,10 @@ E_EPS = 1e-8  # E-measure's alignment-matrix epsilon
 
 def _levels(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Candidate levels of a map in ascending order, and each pixel's index
-    into them: LEVELS8 and the bytes for a uint8 map (PGM bytes) or for a
-    float map of exact byte values, else the distinct values. Raises
-    ValueError outside [0, 1] or on NaN."""
+    into them: LEVELS8 and the bytes for a uint8 map (PGM bytes), else the
+    distinct values. Raises ValueError outside [0, 1] or on NaN."""
     if s.dtype == np.uint8 and s.size:
         return LEVELS8, s
-    if s.dtype in (np.float32, np.float64) and s.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            k = np.asarray(np.rint(s * 255), dtype=np.float32)
-            np.clip(k, 0, 255, out=k)  # so no NaN or value outside [0, 1] can match
-            codes = k.astype(np.uint8)
-            if (np.divide(k, 255, out=k) == s).all():
-                return LEVELS8, codes
     return _distinct_levels(s)
 
 

@@ -230,9 +230,10 @@ def param_shapes(cfg: NetworkConfig) -> dict[str, tuple[int, ...]]:
 def init_network_params(cfg: NetworkConfig, seed, dtype=np.float32) -> dict[str, Tensor]:
     """A fresh {checkpoint name: trainable tensor} dict for param_shapes(cfg),
     drawn from seed (an int or a Generator) in the order of the whole draw
-    table. The generator steps past the entries the variant does not hold,
-    so a kept entry has the same values in every variant."""
-    return init_params(_draw_table(cfg), seed, dtype, keep=param_shapes(cfg))
+    table. The whole table is drawn and the entries the variant does not hold
+    are dropped, so a kept entry has the same values in every variant."""
+    drawn = init_params(_draw_table(cfg), seed, dtype)
+    return {name: drawn[name] for name in param_shapes(cfg)}
 
 
 def _conv(x: Tensor, params: dict[str, Tensor], prefix: str, stride: int = 1) -> Tensor:

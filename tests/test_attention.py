@@ -5,7 +5,6 @@ import pytest
 
 from rrnet.attention import (
     SCALES,
-    descriptor,
     fuse_maps,
     left_branch,
     pma,
@@ -13,7 +12,7 @@ from rrnet.attention import (
     right_branch,
 )
 from rrnet.init import init_params
-from rrnet.tensor import Tensor, conv2d, relu, reshape, sigmoid, tensor_sum
+from rrnet.tensor import Tensor, channel_pool, conv2d, relu, reshape, sigmoid, tensor_sum
 
 
 def pma_params(channels, rng, dtype=np.float32):
@@ -32,11 +31,11 @@ def zero_params(channels, dtype=np.float64):
 
 
 def spatial_attention(x, p, conv):
-    return sigmoid(conv2d(descriptor(x), p[f"{conv}.w"], p[f"{conv}.b"]))
+    return sigmoid(conv2d(channel_pool(x), p[f"{conv}.w"], p[f"{conv}.b"]))
 
 
 def oracle_left_branch(x, p):
-    d = descriptor(x)
+    d = channel_pool(x)
     maps = [sigmoid(conv2d(d, p[f"left.k{k}.w"], p[f"left.k{k}.b"])) for k in SCALES]
     return reshape((maps[0] + maps[1] + maps[2]) * (1.0 / 3.0), x.shape[:2])
 
@@ -99,20 +98,20 @@ class TestFoldMatchesUnfoldedOracle:
 class TestDescriptor:
     def test_single_channel_gives_equal_stats(self, rng):
         x = rng.uniform(size=(4, 4, 1)).astype(np.float32)
-        d = descriptor(Tensor(x)).data
+        d = channel_pool(Tensor(x)).data
         assert np.array_equal(d[:, :, 0], x[:, :, 0])
         assert np.array_equal(d[:, :, 1], x[:, :, 0])
 
     def test_two_channel_example(self):
         x = np.zeros((1, 1, 2), dtype=np.float64)
         x[0, 0] = [0.0, 4.0]
-        d = descriptor(Tensor(x, dtype=np.float64)).data
+        d = channel_pool(Tensor(x, dtype=np.float64)).data
         assert d[0, 0, 0] == 2.0
         assert d[0, 0, 1] == 4.0
 
     def test_matches_per_pixel_loop(self, rng):
         x = rng.uniform(size=(5, 5, 6))
-        d = descriptor(Tensor(x, dtype=np.float64)).data
+        d = channel_pool(Tensor(x, dtype=np.float64)).data
         for i in range(5):
             for j in range(5):
                 assert d[i, j, 0] == pytest.approx(x[i, j].mean(), abs=1e-12)
@@ -121,13 +120,13 @@ class TestDescriptor:
     def test_channel_permutation_invariance_exact(self, rng):
         x = rng.standard_normal((6, 6, 8)).astype(np.float32)
         perm = rng.permutation(8)
-        a = descriptor(Tensor(x)).data
-        b = descriptor(Tensor(np.ascontiguousarray(x[:, :, perm]))).data
+        a = channel_pool(Tensor(x)).data
+        b = channel_pool(Tensor(np.ascontiguousarray(x[:, :, perm]))).data
         assert np.array_equal(a, b)
 
     def test_rank_check(self):
         with pytest.raises(ValueError, match="rank-3"):
-            descriptor(Tensor(np.zeros((3, 3))))
+            channel_pool(Tensor(np.zeros((3, 3))))
 
 
 class TestLeftBranch:
@@ -146,14 +145,14 @@ class TestLeftBranch:
         p["left.k7.w"].data[2:5, 2:5] = core
         x = Tensor(rng.standard_normal((6, 6, 3)), dtype=np.float64)
         out = left_branch(x, p).data
-        single = sigmoid(conv2d(descriptor(x), p["left.k3.w"], p["left.k3.b"])).data[:, :, 0]
+        single = sigmoid(conv2d(channel_pool(x), p["left.k3.w"], p["left.k3.b"])).data[:, :, 0]
         assert np.abs(out - single).max() < 1e-12
 
     def test_matches_per_scale_recomputation(self, rng):
         x = Tensor(rng.standard_normal((8, 8, 4)), dtype=np.float64)
         p = pma_params(4, rng, np.float64)
         got = left_branch(x, p).data
-        d = descriptor(x)
+        d = channel_pool(x)
         acc = np.zeros((8, 8))
         for k in SCALES:
             acc += sigmoid(conv2d(d, p[f"left.k{k}.w"], p[f"left.k{k}.b"])).data[:, :, 0]

@@ -843,8 +843,8 @@ class TestEval:
         assert err == "warning: 'background' has no foreground; excluded from F/PR\n"
 
     def test_8bit_pgms_never_take_the_float_path(self, tmp_path, capsys, rng, monkeypatch):
-        # a guard on the speed of eval: the float readers, the rounding pass that
-        # recovers bytes from floats and the distinct-level sort are never called
+        # a guard on the speed of eval: the float readers and the distinct-level
+        # sort are never called
         pred_d, gt_d = self._write_8bit_pairs(tmp_path, rng)
 
         def refuse(name):
@@ -853,14 +853,9 @@ class TestEval:
 
             return call
 
-        class NoRint:
-            def __getattr__(self, name):
-                return refuse("np.rint") if name == "rint" else getattr(np, name)
-
         monkeypatch.setattr(rrnet.dataio, "read_pgm", refuse("read_pgm"))
         monkeypatch.setattr(rrnet.dataio, "read_mask", refuse("read_mask"))
         monkeypatch.setattr(rrnet.metrics, "_distinct_levels", refuse("_distinct_levels"))
-        monkeypatch.setattr(rrnet.metrics, "np", NoRint())
         dtypes, evaluate_pair_ = [], rrnet.metrics.evaluate_pair
 
         def record(s, gt, sample_id):
@@ -983,6 +978,16 @@ class TestSelfCheck:
         checks, cases = map(int, re.search(r"(\d+) checks in all \((\d+) cases\)", readme).groups())
         assert checks == len(run_self_check(trials=1))
         assert cases == len(list(op_cases(np.random.default_rng(0))))
+
+    def test_dropping_a_case_leaves_every_other_check_as_it_was(self, monkeypatch):
+        import rrnet.checks as checks
+
+        before = {r.name: (r.ok, r.detail) for r in checks.run_self_check(trials=1)}
+        op_cases = checks.op_cases
+        monkeypatch.setattr(checks, "op_cases", lambda rng: ((n, b) for n, b in op_cases(rng) if n != "add"))
+        after = {r.name: (r.ok, r.detail) for r in checks.run_self_check(trials=1)}
+        del before["grad/add"]
+        assert after == before
 
     def test_graph_checks_read_the_forward_graph_reason_runs(self, monkeypatch):
         import rrnet.graph as graph

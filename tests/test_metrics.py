@@ -592,39 +592,40 @@ class TestLevelHistograms:
                 else:
                     assert got == pytest.approx(ref, rel=0, abs=1e-14), (name, s.shape)
 
-    def test_8bit_path_equals_general_path(self, rng, monkeypatch):
+    def test_8bit_path_equals_general_path(self, rng):
         s, gt = pgm_pair(rng, 48)
         s[:2] = 0.0  # the end levels occur too
         s[-2:] = 1.0
         maps = [s, s.astype(np.float64), s[:1, :3], np.full((5, 7), np.float32(77) / np.float32(255))]
         for s in maps:
-            levels8, codes8 = metrics._levels(s)
-            levels, codes = metrics._distinct_levels(s)
-            assert levels8 is metrics.LEVELS8 and codes8.dtype == np.uint8
-            assert np.array_equal(levels8[codes8], levels[codes])
+            codes = np.rint(s.astype(np.float64) * 255).astype(np.uint8)
+            levels8, codes8 = metrics._levels(codes)
+            levels, idx = metrics._distinct_levels(s)
+            assert levels8 is metrics.LEVELS8 and codes8 is codes
+            assert np.array_equal(levels8[codes8], levels[idx]) and np.array_equal(levels[idx], s)
             fg = np.zeros(s.shape, dtype=bool)
             fg.ravel()[::3] = True
             split = [(s.shape[0] // 2, s.shape[1] // 3)]
             for a, b in zip(
                 metrics._histograms(levels8, codes8 + 256 * fg, split),
-                metrics._histograms(levels, codes + levels.size * fg, split),
+                metrics._histograms(levels, idx + levels.size * fg, split),
             ):
                 for x, y in zip(a, b):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
-        pairs = [pgm_pair(rng, 48), pgm_pair(rng, 31)] + [(m, (rng.uniform(size=m.shape) < 0.4) * 1.0) for m in maps]
-        rows8 = [row_values(evaluate_pair(s, gt)) for s, gt in pairs]
-        monkeypatch.setattr(metrics, "_levels", metrics._distinct_levels)
-        assert [row_values(evaluate_pair(s, gt)) for s, gt in pairs] == rows8
+        for m in maps:
+            gt = (rng.uniform(size=m.shape) < 0.4) * 1.0
+            assert row_values(evaluate_pair(*as_pgm_bytes(m, gt))) == row_values(evaluate_pair(m, gt))
 
     def test_8bit_pair_is_scored_without_sorting_pixels(self, rng, monkeypatch):
         s, gt = pgm_pair(rng)
+        codes, fg = as_pgm_bytes(s, gt)
         guard = SortGuard()
         monkeypatch.setattr(metrics, "np", guard)
-        evaluate_pair(s, gt)
+        evaluate_pair(codes, fg)
         for metric in (mae, pr_curve, f_measure, s_measure, e_measure):
-            metric(s, gt)
+            metric(codes, fg)
         assert max(guard.sizes, default=0) <= 16  # no sort at all counts too
-        evaluate_pair(s.astype(np.float64) * 0.999, gt)  # not 8-bit: the guard does see a pixel sort
+        evaluate_pair(s, gt)  # the same map as floats: the guard does see a pixel sort
         assert max(guard.sizes) == s.size
 
     def test_bytes_score_as_the_float_path(self, rng):
@@ -657,7 +658,6 @@ class TestLevelHistograms:
         write_pgm(tmp_path / "ramp.pgm", np.arange(256).reshape(16, 16) / 255.0)
         got = read_pgm(tmp_path / "ramp.pgm")
         assert np.array_equal(got.ravel().astype(np.float64), metrics.LEVELS8)
-        assert metrics._levels(got)[0] is metrics.LEVELS8
 
     def test_one_level_region_has_zero_spread(self):
         for value in (0.1, 0.3, 0.7):
