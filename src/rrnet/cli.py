@@ -64,6 +64,11 @@ def _say(line: str) -> None:
         os.close(devnull)
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise _UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(x) for x in text.split(","))
@@ -138,10 +143,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_data(args) -> int:
+    _at_least("--seed", args.seed, 0)
+    samples = dataio.synth_dataset(args.count, args.seed, args.size)  # before any directory is made
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
     (out / "masks").mkdir(parents=True, exist_ok=True)
-    samples = dataio.synth_dataset(args.count, args.seed, args.size)
     pairs = []
     for s in samples:
         img_rel = f"images/{s.id}.ppm"
@@ -257,8 +263,8 @@ def _cmd_eval(args) -> int:
 
     def pairs():  # read and checked one at a time, as evaluate_pairs draws them
         for k in sorted(preds):
-            # scored from the stored bytes: byte k is level k / 255, a mask byte >= 128 is foreground
-            s, gt = dataio.read_pgm_bytes(preds[k]), dataio.read_pgm_bytes(gts[k]) >= 128
+            # scored from the stored bytes: byte k is level k / 255
+            s, gt = dataio.read_pgm_bytes(preds[k]), dataio._foreground(dataio.read_pgm_bytes(gts[k]))
             if s.shape != gt.shape:
                 raise DataFormatError(
                     f"sample '{k}': prediction {s.shape} and mask {gt.shape} differ in shape"
@@ -278,8 +284,8 @@ def _cmd_eval(args) -> int:
 def _cmd_self_check(args) -> int:
     from .checks import run_self_check  # only self-check pays for importing the check battery
 
-    if args.trials < 1:
-        raise _UsageError(f"--trials must be at least 1, got {args.trials}")
+    _at_least("--trials", args.trials, 1)
+    _at_least("--seed", args.seed, 0)
     results = run_self_check(trials=args.trials, seed=args.seed)
     failed = 0
     for r in results:

@@ -3,9 +3,12 @@ dataset, and checkpoint serialization.
 
 Images are binary PPM (P6, 8-bit); masks and saliency maps are binary PGM
 (P5, 8-bit). Both formats are byte-auditable, which the round-trip tests
-rely on. `read_pgm_bytes` gives a PGM's payload as it is stored, which
+rely on. Every header is parsed by one regex match, `_PNM_HEADER`.
+`read_pgm_bytes` gives a PGM's payload as it is stored, which
 `metrics.evaluate_pair` scores directly; `read_pgm` and `read_mask` convert
-it to float32 for the network and for library callers.
+it to float32 for the network and for library callers. A mask byte >= 128
+is foreground (`_foreground`), whether read by `read_mask` or by `rrnet
+eval`.
 """
 
 from __future__ import annotations
@@ -80,59 +83,40 @@ class Sample:
 # -- netpbm ---------------------------------------------------------------------
 
 
-# the header nearly every file has: single whitespace separators, no
-# comments, maxval 255; at most 9 digits, so int() cannot fail on a match
-_SIMPLE_PNM_HEADER = re.compile(rb"\s(\d{1,9})\s(\d{1,9})\s255\s")
+# the three header tokens after the magic, width, height and maxval, each
+# after its run of whitespace and '#' comments; a token is empty only where
+# the data ends
+_PNM_HEADER = re.compile(rb"(?:\s|#[^\r\n]*)*(\S*)" * 3)
 
 
 def _parse_pnm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int]:
     """Returns (width, height, payload_offset); maxval must be 255.
 
-    A simple header is read with one match; any other, including every
-    malformed one, goes through the token scan, which gives the same result
-    on a simple header."""
+    One match of `_PNM_HEADER` splits the header into its three tokens, and
+    one whitespace byte after maxval ends it. A malformed header is reported
+    at the byte offset of the first token that fails."""
     if data[:2] != magic:
         raise DataFormatError(
             f"expected {magic.decode()} file, found {data[:2]!r}", path, 0
         )
-    simple = _SIMPLE_PNM_HEADER.match(data, 2)
-    if simple:
-        width, height, maxval, pos = int(simple[1]), int(simple[2]), 255, simple.end()
-    else:
-        width, height, maxval, pos = _scan_pnm_header(data, path)
+    header = _PNM_HEADER.match(data, 2)
+    fields: list[int] = []
+    for i in (1, 2, 3):
+        if not header[i]:
+            raise DataFormatError("truncated header", path, header.start(i))
+        try:
+            fields.append(int(header[i]))
+        except ValueError:
+            raise DataFormatError(f"bad header token {header[i]!r}", path, header.start(i)) from None
+    pos = header.end()
+    if pos >= len(data):
+        raise DataFormatError("missing whitespace after maxval", path, pos)
+    width, height, maxval = fields
     if width <= 0 or height <= 0:
         raise DataFormatError(f"bad dimensions {width}x{height}", path, 2)
     if maxval != 255:
         raise DataFormatError(f"unsupported maxval {maxval} (only 255)", path, 2)
-    return width, height, pos
-
-
-def _scan_pnm_header(data: bytes, path) -> tuple[int, int, int, int]:
-    """(width, height, maxval, payload_offset) of the header after the magic,
-    token by token, with whitespace runs and '#' comments between tokens."""
-    pos = 2
-    fields: list[int] = []
-    while len(fields) < 3:
-        # skip whitespace and '#' comments between header tokens
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token:
-            raise DataFormatError("truncated header", path, start)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise DataFormatError(f"bad header token {token!r}", path, start) from None
-    if pos >= len(data):
-        raise DataFormatError("missing whitespace after maxval", path, pos)
-    return (*fields, pos + 1)  # single whitespace byte separates header from payload
+    return width, height, pos + 1  # single whitespace byte separates header from payload
 
 
 def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
@@ -185,9 +169,14 @@ def write_pgm(path, values: np.ndarray) -> None:
     _write_pnm(path, b"P5", values)
 
 
+def _foreground(codes: np.ndarray) -> np.ndarray:
+    """The foreground of a mask's stored bytes: a byte >= 128."""
+    return codes >= 128
+
+
 def read_mask(path) -> np.ndarray:
-    """Read a P5 ground-truth mask; bytes >= 128 count as foreground."""
-    return (read_pgm_bytes(path) >= 128).astype(np.float32)
+    """Read a P5 ground-truth mask as 0/1 float32; see `_foreground`."""
+    return _foreground(read_pgm_bytes(path)).astype(np.float32)
 
 
 # -- augmentation -----------------------------------------------------------------

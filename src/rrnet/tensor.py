@@ -3,13 +3,14 @@
 The engine is deliberately small: it covers exactly the operator set the
 network needs (elementwise arithmetic, matmul, concatenation, reshapes,
 same-padded convolution, the pooling variants and the two activations).
-The forward pass of a convolution is one matmul per kernel tap over shifted
-views of the padded input. Its backward pass lays the output gradient on the
+Both passes of a convolution read one zero-padded flat copy of its input,
+made by one helper. The forward pass is one matmul per kernel tap over
+shifted views of that copy. The backward pass lays the output gradient on the
 flattened padded input, where each tap reads one evenly spaced run of rows:
 the weight gradient of all taps is one matmul over a strided view of those
-runs, and the input gradient adds one matmul per tap into a flat buffer. No
-tap copies its window, and neither pass builds a buffer k*k times the size of
-its input.
+runs, and the input gradient adds one matmul per tap into a flat buffer of
+the same layout. No tap copies its window, and neither pass builds a buffer
+k*k times the size of its input.
 
 Every op records a backward closure ``backward(g)`` on a per-forward tape;
 ``g`` is the gradient that reached the op's output. Calling ``backward()`` on
@@ -493,20 +494,9 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def _same_pad(n: int, k: int, stride: int) -> tuple[int, int, int]:
-    if stride == 1:
-        return n, (k - 1) // 2, (k - 1) // 2
     n_out = -(-n // stride)
     total = max((n_out - 1) * stride + k - n, 0)
     return n_out, total // 2, total - total // 2
-
-
-def _pad2d(arr: np.ndarray, pt: int, pb: int, pl: int, pr: int) -> np.ndarray:
-    if pt == pb == pl == pr == 0:
-        return arr
-    h, w, c = arr.shape
-    out = np.zeros((h + pt + pb, w + pl + pr, c), dtype=arr.dtype)
-    out[pt : pt + h, pl : pl + w] = arr
-    return out
 
 
 def _tap(di: int, dj: int, h_out: int, w_out: int, stride: int) -> tuple[slice, slice]:
@@ -521,10 +511,13 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     """Same-padded 2-D convolution of an H x W x Cin map with a k x k x Cin x Cout kernel.
 
     stride 1 preserves the spatial size; stride 2 halves it (the backbone's
-    downsampling mode). The forward pass runs the same loop over the k*k taps
-    for every kernel size and stride: each tap is one matmul of a shifted,
-    strided view of the zero-padded input with that tap's Cin x Cout weights,
-    accumulated into the output through one reused output-sized temporary.
+    downsampling mode). Both passes read the input from the same layout: a
+    zeroed flat buffer of ``rows`` rows of Cin values, whose first hp*wp rows
+    are the hp x wp padded map, made by ``padded``. The forward pass runs the
+    same loop over the k*k taps for every kernel size and stride: each tap is
+    one matmul of a shifted, strided view of that padded map with the tap's
+    Cin x Cout weights, accumulated into the output through one reused
+    output-sized temporary.
 
     The backward pass lays the output gradient out at the padded input's
     width ``wp``: output pixel (i, j) becomes row ``p = i*wp + j`` of an
@@ -535,9 +528,10 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     gradient of all k*k taps is then one matmul over a read-only strided view
     of those runs, and each tap adds ``gf @ K[di, dj].T`` into its run of a
     flat padded input-gradient buffer. No tap copies a window. The tape keeps
-    no array of its own, only references to the input and kernel tensors;
-    backward pads the input again when it needs the weight gradient, and
-    that copy lives only while the weight gradient is computed.
+    no array of its own, only references to the input and kernel tensors:
+    the forward pass's padded copy is freed when conv2d returns, and
+    backward pads the input again when it needs the weight gradient, that
+    copy living only while the weight gradient is computed.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 3:
@@ -562,19 +556,6 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     cout = w.shape[3]
     h_out, pt, pb = _same_pad(h, k, stride)
     w_out, pl, pr = _same_pad(wd, k, stride)
-    xp = _pad2d(x.data, pt, pb, pl, pr)
-    kernel = w.data
-    wins = [_tap(di, dj, h_out, w_out, stride) for di in range(k) for dj in range(k)]
-    taps = kernel.reshape(k * k, cin, cout)
-    out_data = xp[wins[0]] @ taps[0]
-    if k > 1:
-        tmp = np.empty_like(out_data)
-        for win, kt in zip(wins[1:], taps[1:]):
-            out_data += np.matmul(xp[win], kt, out=tmp)
-    if b is not None:
-        out_data += b.data
-
-    parents = (x, w) if b is None else (x, w, b)
     hp, wp = h + pt + pb, wd + pl + pr
     # gf has one row per output pixel up to the last, then zero rows up to a
     # multiple of 32: OpenBLAS's threaded and single-threaded GEMM paths block
@@ -587,18 +568,33 @@ def conv2d(x, w, b=None, stride: int = 1) -> Tensor:
     offs = [di * wp + dj for di in range(k) for dj in range(k)]
     inner = (slice(pt, pt + h), slice(pl, pl + wd))
 
-    def padded():
-        """A zeroed (rows, Cin) buffer, and its first hp*wp rows as the hp x wp x Cin padded map."""
+    def padded(fill=None):
+        """A zeroed (rows, Cin) buffer, and its first hp*wp rows as the hp x wp x Cin
+        padded map, with fill (the input) copied into the map's interior."""
         flat = np.zeros((rows, cin), dtype=x.dtype)
-        return flat, flat[: hp * wp].reshape(hp, wp, cin)
+        grid = flat[: hp * wp].reshape(hp, wp, cin)
+        if fill is not None:
+            grid[inner] = fill
+        return flat, grid
 
     def tap_windows():
         """The k x k x Cin x n read-only view of the runs of rows that the taps
         read from a flat padded copy of the input; the copy lives as long as the view."""
-        flat, grid = padded()
-        grid[inner] = x.data
+        flat, _ = padded(x.data)
         row, col = flat.strides
         return as_strided(flat, (k, k, cin, n), (wp * row, row, col, stride * row), writeable=False)
+
+    _, xp = padded(x.data)  # no closure below holds it, so the tape keeps no padded copy
+    taps = w.data.reshape(k * k, cin, cout)
+    wins = [_tap(di, dj, h_out, w_out, stride) for di in range(k) for dj in range(k)]
+    out_data = xp[wins[0]] @ taps[0]
+    if k > 1:
+        tmp = np.empty_like(out_data)
+        for win, kt in zip(wins[1:], taps[1:]):
+            out_data += np.matmul(xp[win], kt, out=tmp)
+    if b is not None:
+        out_data += b.data
+    parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
         gf = np.zeros((max(n, h_out * wp), cout), dtype=g.dtype)

@@ -29,6 +29,8 @@ class TrainSettings:
             raise ValueError(f"iterations must be at least 0, got {self.iterations}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
         if self.log_every < 1:
             raise ValueError(f"log_every must be at least 1, got {self.log_every}")
         for name in ("lr_initial", "lr_final"):

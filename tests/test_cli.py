@@ -86,6 +86,17 @@ class TestGenData:
         assert len(list((tmp_path / "d" / "images").glob("*.ppm"))) == 4
         assert len(list((tmp_path / "d" / "masks").glob("*.pgm"))) == 4
 
+    @pytest.mark.parametrize("flags", [["--count", "0"], ["--seed", "-1"]])
+    def test_refused_run_creates_nothing(self, tmp_path, capsys, flags):
+        code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", "32", *flags)
+        assert code == EXIT_USAGE
+        assert out == "" and len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_negative_seed_names_the_flag(self, tmp_path, capsys):
+        code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--seed", "-1")
+        assert err == "usage error: --seed must be at least 0, got -1\n"
+
 
 class TestTrain:
     def test_zero_iters_checkpoint_equals_initialization(self, tmp_path, capsys):
@@ -213,7 +224,7 @@ class TestTrain:
         assert code == EXIT_OK
         assert [ln for ln in out.splitlines() if "\t" in ln] == []
 
-    @pytest.mark.parametrize("text", ["batch_size=0\n", "lr_initial=nan\n", "lr_final=-1\n"])
+    @pytest.mark.parametrize("text", ["batch_size=0\n", "lr_initial=nan\n", "lr_final=-1\n", "seed=-1\n"])
     def test_out_of_range_config_value_is_usage_error(self, tmp_path, capsys, text):
         code, _, err = train_with_config(tmp_path, capsys, text)
         assert code == EXIT_USAGE
@@ -225,12 +236,14 @@ class TestTrain:
         [
             ["--iters", "-5"], ["--batch", "0"], ["--lr", "-1"], ["--lr", "nan"], ["--final-lr", "inf"],
             ["--decoder-width", "0"], ["--decoder-width", "-3"], ["--size", "0"], ["--size", "-32"],
+            ["--seed", "-1"],
         ],
     )
     def test_out_of_range_flag_is_usage_error(self, tmp_path, capsys, flags):
         key = {
             "--iters": "iterations", "--batch": "batch_size", "--lr": "lr_initial",
             "--final-lr": "lr_final", "--decoder-width": "decoder_width", "--size": "input_size",
+            "--seed": "seed",
         }[flags[0]]
         code, _, err = run(
             capsys, "train", "--synthetic", "1", "--iters", "1", "--out", str(tmp_path / "m.ck"),
@@ -1013,6 +1026,12 @@ class TestSelfCheck:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("usage error:") and "--trials" in err and len(err.splitlines()) == 1
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "self-check", "--seed", "-1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "usage error: --seed must be at least 0, got -1\n"
 
 
 class TestUsage:

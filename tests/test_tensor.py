@@ -215,15 +215,20 @@ class TestConv2d:
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_forward_backward_memory_stays_near_input_size(self, rng, stride):
-        """A 7x7 conv at 56x56x16 keeps no k*k-sized window buffer, forward or backward."""
+        """A 7x7 conv at 56x56x16 keeps no k*k-sized window buffer, forward or
+        backward, and after the forward pass holds its output but no padded
+        copy of the input."""
         x = Tensor(rng.standard_normal((56, 56, 16)), requires_grad=True, dtype=np.float32)
         w = Tensor(rng.standard_normal((7, 7, 16, 16)), requires_grad=True, dtype=np.float32)
         tracemalloc.start()
         try:
-            tensor_sum(conv2d(x, w, stride=stride)).backward()
+            y = conv2d(x, w, stride=stride)
+            held = tracemalloc.get_traced_memory()[0]
+            tensor_sum(y).backward()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert held < y.data.nbytes + 16384, f"forward holds {held} bytes for a {y.data.nbytes}-byte output"
         assert peak < 12 * x.data.nbytes, f"peak {peak / x.data.nbytes:.1f}x the input's bytes"
 
 
