@@ -143,7 +143,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen_data(args) -> int:
+    _at_least("--count", args.count, 1)
     _at_least("--seed", args.seed, 0)
+    _at_least("--size", args.size, 1)
     samples = dataio.synth_dataset(args.count, args.seed, args.size)  # before any directory is made
     out = Path(args.out)
     (out / "images").mkdir(parents=True, exist_ok=True)
@@ -182,6 +184,7 @@ def _cmd_train(args) -> int:
     cfg = _overlay(from_mapping(NetworkConfig, net_kv), args)
     settings = _overlay(from_mapping(TrainSettings, train_kv), args)
     if args.synthetic is not None:
+        _at_least("--synthetic", args.synthetic, 1)
         samples = dataio.synth_dataset(args.synthetic, settings.seed, cfg.input_size[0])
     else:
         samples = dataio.load_manifest_samples(args.manifest)

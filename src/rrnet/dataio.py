@@ -36,6 +36,7 @@ __all__ = [
     "write_pgm",
     "read_mask",
     "augment7",
+    "dihedral_variant",
     "AUGMENT_NAMES",
     "resize_bilinear",
     "resize_nearest",
@@ -203,22 +204,24 @@ def _dihedral(arr: np.ndarray, name: str) -> np.ndarray:
     return np.ascontiguousarray(np.rot90(arr, turns))
 
 
-def augment7(sample: Sample) -> list[Sample]:
-    """The original plus the 7 non-identity symmetries of the square.
+def dihedral_variant(sample: Sample, name: str) -> Sample:
+    """The sample under the symmetry of the square named in `AUGMENT_NAMES`,
+    as C-contiguous arrays; its id gains `_<name>`, except for "orig".
 
     Rotations by 90/270 swap H and W; a later resize normalizes that for
     training.
     """
-    out = []
-    for name in AUGMENT_NAMES:
-        out.append(
-            Sample(
-                image=_dihedral(sample.image, name),
-                mask=_dihedral(sample.mask, name),
-                id=f"{sample.id}_{name}" if name != "orig" else sample.id,
-            )
-        )
-    return out
+    return Sample(
+        image=_dihedral(sample.image, name),
+        mask=_dihedral(sample.mask, name),
+        id=f"{sample.id}_{name}" if name != "orig" else sample.id,
+    )
+
+
+def augment7(sample: Sample) -> list[Sample]:
+    """The original plus the 7 non-identity symmetries of the square, each a
+    `dihedral_variant`, in `AUGMENT_NAMES` order."""
+    return [dihedral_variant(sample, name) for name in AUGMENT_NAMES]
 
 
 # -- resizing --------------------------------------------------------------------

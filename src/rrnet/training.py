@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import Sample, augment7, resize_sample
+from .dataio import AUGMENT_NAMES, Sample, dihedral_variant, resize_sample
 from .network import NetworkConfig, balanced_bce_loss, init_network_params, predict
 from .optim import Adam, LinearSchedule
 from .tensor import NumericalError, Tensor, no_grad
@@ -46,9 +47,9 @@ class TrainResult:
 
 
 def _batch_loss(
-    batch: list[Sample], params: dict[str, Tensor], cfg: NetworkConfig, with_grad: bool
+    batch: Iterable[Sample], params: dict[str, Tensor], cfg: NetworkConfig, with_grad: bool
 ) -> float:
-    total = 0.0
+    total, count = 0.0, 0
     for sample in batch:
         image = Tensor(sample.image)
         pred = predict(image, params, cfg)
@@ -60,7 +61,8 @@ def _batch_loss(
             loss.backward()
         del pred, loss  # free this sample's graph before the next forward
         total += value
-    return total / len(batch)
+        count += 1
+    return total / count
 
 
 def train_model(
@@ -71,20 +73,27 @@ def train_model(
 ) -> TrainResult:
     """Train from scratch on the given samples; fully determined by the seed.
 
-    Samples are resized to the configured input size and (optionally)
-    expanded with the 7 dihedral variants. Batch composition is drawn up
-    front from the seed, and per-batch gradients accumulate in a fixed order,
-    so identical invocations produce bit-identical parameters.
+    The pool is one (sample, variant name) pair per sample and `AUGMENT_NAMES`
+    entry, sample-major, or one "orig" pair per sample without augmentation.
+    A run holds each sample once: a batch builds the pairs it draws one at a
+    time as it runs, each as `resize_sample(dihedral_variant(sample, name))`
+    at the configured input size.
+    Batch composition is drawn up front from the seed, and per-batch
+    gradients accumulate in a fixed order, so identical invocations produce
+    bit-identical parameters.
     """
     if not samples:
         raise ValueError("no training samples")
     ss = np.random.SeedSequence(settings.seed)
     seed_params, seed_batches = ss.spawn(2)
 
-    pool: list[Sample] = []
-    for s in samples:
-        variants = augment7(s) if settings.augment else [s]
-        pool.extend(resize_sample(v, cfg.input_size) for v in variants)
+    names = AUGMENT_NAMES if settings.augment else ("orig",)
+    pool = [(s, name) for s in samples for name in names]
+
+    def draws(row) -> Iterator[Sample]:
+        for j in row:
+            sample, name = pool[j]
+            yield resize_sample(dihedral_variant(sample, name), cfg.input_size)
 
     params = init_network_params(cfg, np.random.default_rng(seed_params))
     result = TrainResult(params=params)
@@ -103,14 +112,13 @@ def train_model(
             log_fn(it, loss, lr)
 
     with no_grad():
-        loss0 = _batch_loss([pool[j] for j in indices[0]], params, cfg, with_grad=False)
+        loss0 = _batch_loss(draws(indices[0]), params, cfg, with_grad=False)
     emit(0, loss0, schedule.lr_at(1))
 
     for it in range(1, iters + 1):
-        batch = [pool[j] for j in indices[it - 1]]
         adam.zero_grad()
-        loss = _batch_loss(batch, params, cfg, with_grad=True)
-        lr = adam.step(grad_scale=1.0 / len(batch))
+        loss = _batch_loss(draws(indices[it - 1]), params, cfg, with_grad=True)
+        lr = adam.step(grad_scale=1.0 / settings.batch_size)
         if it % settings.log_every == 0 or it == iters:
             emit(it, loss, lr)
     return result

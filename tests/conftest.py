@@ -2,6 +2,19 @@ import numpy as np
 import pytest
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", help="also run the tests marked slow (minutes each)")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow training-based acceptance run; pass --run-slow to run it")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

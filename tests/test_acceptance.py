@@ -6,9 +6,17 @@ params + t * d, and hands t to ``checks.gradcheck`` with its default
 tolerances: the backward pass gives dL/dt = <dL/dparams, d>, central
 differences of the loss give it numerically. The directions are 20 random
 Gaussian ones over every parameter, plus one-hot directions at sampled
-coordinates. The overfit run and the ablation ordering (phase 2) are not
-implemented yet.
+coordinates.
+
+Phase 2 so far is the overfit run through the CLI, marked slow: it runs only
+under `pytest --run-slow`. The ablation ordering is not implemented yet.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,3 +95,25 @@ def test_whole_network_gradient(pma, reasoning):
         assert res, res
     res = check_along(cfg, params, image, label, sampled_coordinates(params, rng))
     assert res, res
+
+
+@pytest.mark.slow
+def test_cli_overfit_run_meets_the_readme_thresholds(tmp_path):
+    """`rrnet train --synthetic 8 --iters 2000 --seed 7` scored by `rrnet
+    eval` on its own training set: F >= 0.95 and MAE <= 0.05 (~6 min)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def rrnet(*argv):
+        proc = subprocess.run([sys.executable, "-m", "rrnet.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    ck, data = tmp_path / "model.ck", tmp_path / "data"
+    rrnet("train", "--synthetic", "8", "--iters", "2000", "--seed", "7", "--out", str(ck))
+    rrnet("gen-data", "--out", str(data), "--count", "8", "--seed", "7", "--size", "64")
+    rrnet("infer", "--checkpoint", str(ck), "--input-dir", str(data / "images"), "--output-dir", str(tmp_path / "maps"))
+    report = tmp_path / "report.json"
+    rrnet("eval", "--pred", str(tmp_path / "maps"), "--gt", str(data / "masks"), "--report", str(report),
+          "--prcurve", str(tmp_path / "pr.csv"))
+    scores = json.loads(report.read_text())["aggregate"]
+    print(f"overfit run: F {scores['f_beta_max']:.4f}, MAE {scores['mae']:.4f}, S {scores['s_m']:.4f}, E {scores['e_m']:.4f}")
+    assert scores["f_beta_max"] >= 0.95 and scores["mae"] <= 0.05, scores

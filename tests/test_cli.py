@@ -97,6 +97,20 @@ class TestGenData:
         code, _, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--seed", "-1")
         assert err == "usage error: --seed must be at least 0, got -1\n"
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_count_below_one_names_the_flag(self, tmp_path, capsys, value):
+        code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--count", value)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: --count must be at least 1, got {value}\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-32"])
+    def test_size_below_one_names_the_flag(self, tmp_path, capsys, value):
+        code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", value)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: --size must be at least 1, got {value}\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_zero_iters_checkpoint_equals_initialization(self, tmp_path, capsys):
@@ -251,6 +265,13 @@ class TestTrain:
         )
         assert code == EXIT_USAGE
         assert err.startswith(f"usage error: {key} must be") and len(err.splitlines()) == 1
+        assert not (tmp_path / "m.ck").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_synthetic_below_one_names_the_flag(self, tmp_path, capsys, value):
+        code, out, err = run(capsys, "train", "--synthetic", value, "--out", str(tmp_path / "m.ck"), *TINY_NET)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"usage error: --synthetic must be at least 1, got {value}\n"
         assert not (tmp_path / "m.ck").exists()
 
     def test_bad_stage_channels_names_the_flag(self, tmp_path, capsys):

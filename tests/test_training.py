@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rrnet import training
-from rrnet.dataio import synth_dataset
+from rrnet.dataio import Sample, augment7, resize_sample, synth_dataset
 from rrnet.network import NetworkConfig, balanced_bce_loss, init_network_params, predict
 from rrnet.tensor import Tensor, no_grad
 from rrnet.training import TrainSettings, train_model
@@ -47,8 +47,6 @@ class TestTrainModel:
         assert iters[-1] == 5
 
     def test_pool_loss_decreases(self):
-        from rrnet.dataio import augment7, resize_sample
-
         samples = synth_dataset(4, seed=3, size=32)
         pool = [resize_sample(v, (32, 32)) for s in samples for v in augment7(s)]
 
@@ -70,6 +68,35 @@ class TestTrainModel:
         res = train_model(samples, TINY, settings)
         after = pool_loss(res.params)
         assert after < before
+
+    @pytest.mark.parametrize("augment", [True, False])
+    def test_every_pool_index_draws_its_resized_variant(self, monkeypatch, augment):
+        # 48 x 40 sources, so a quarter turn changes what the resize reads
+        samples = [
+            Sample(s.image[:, :40].copy(), s.mask[:, :40].copy(), s.id) for s in synth_dataset(2, seed=4, size=48)
+        ]
+        oracle = [resize_sample(v, TINY.input_size) for s in samples for v in (augment7(s) if augment else [s])]
+        settings = TrainSettings(iterations=1, batch_size=200, seed=6, augment=augment)
+        drawn = []
+
+        class Drawn(Exception):
+            pass
+
+        def record(batch, params, cfg, with_grad):
+            drawn.extend(batch)
+            raise Drawn
+
+        monkeypatch.setattr(training, "_batch_loss", record)
+        with pytest.raises(Drawn):
+            train_model(samples, TINY, settings)
+        _, seed_batches = np.random.SeedSequence(settings.seed).spawn(2)
+        row = np.random.default_rng(seed_batches).integers(0, len(oracle), size=(1, settings.batch_size))[0]
+        assert set(row.tolist()) == set(range(len(oracle)))
+        for j, got in zip(row, drawn, strict=True):
+            want = oracle[j]
+            assert got.id == want.id
+            assert got.image.dtype == want.image.dtype and got.image.tobytes() == want.image.tobytes()
+            assert got.mask.dtype == want.mask.dtype and got.mask.tobytes() == want.mask.tobytes()
 
     def test_augment_toggle_changes_pool(self):
         samples = synth_dataset(1, seed=1, size=32)
@@ -108,6 +135,22 @@ class TestMemory:
         # the map and under 0.5 MiB of small objects may stay
         assert after_backward <= grad_bytes + pred.map.data.nbytes + 2**19
         assert backward_peak < after_forward + param_bytes
+
+    def test_a_run_holds_each_sample_once(self):
+        # the samples are made before tracing starts, so the traced peak of a
+        # run grows with the sample count only by what the run keeps per sample
+        settings = TrainSettings(iterations=1, batch_size=2, seed=3)
+        peaks = {}
+        for n in (4, 36):
+            samples = synth_dataset(n, seed=1, size=32)
+            tracemalloc.start()
+            try:
+                train_model(samples, TINY, settings)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        sample_bytes = samples[0].image.nbytes + samples[0].mask.nbytes
+        assert (peaks[36] - peaks[4]) / (36 - 4) < sample_bytes
 
     def test_tape_nodes_per_sample(self):
         # graph reasoning records one op per call and PMA one attention pass;
