@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+# bench/tracer.py wraps conv2d by name in every module that binds it
 from .tensor import Tensor, channel_pool, concat, conv2d, relu, reshape, sigmoid, take_rows, tensor_sum
 
 __all__ = [
@@ -98,6 +99,7 @@ def _branch_maps(x: Tensor, p: dict[str, Tensor], branches: tuple[str, ...]) -> 
     return tensor_sum(reshape(maps, (h, w, len(branches), len(SCALES))), axis=3) * (1.0 / 3.0)
 
 
+# bench/tracer.py wraps left_branch, right_branch and fuse_maps by name; pma calls none of them
 def left_branch(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     """Multi-scale attention on the single-scale descriptor, H x W map."""
     return reshape(_branch_maps(x, p, ("left",)), x.shape[:2])

@@ -1,8 +1,8 @@
 """Command-line interface: gen-data, train, infer, eval, self-check.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure (NaN detected). A closed stdout is not an error: the command drops
-its remaining output, finishes and exits 0.
+Exit codes: 0 success, 1 usage/config error or out of memory, 2 data
+error, 3 numerical failure (NaN detected). A closed stdout is not an error:
+the command drops its remaining output, finishes and exits 0.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import dataio
 from .dataio import CheckpointError, DataFormatError
-from .metrics import evaluate_pairs, pr_curve_csv, report_to_json
+from .metrics import evaluate_pairs, pr_curve_csv, report_to_json  # bench/test_bench.py patches report_to_json here
 from .network import (
     PMA_CHOICES,
     REASONING_CHOICES,
@@ -300,21 +300,20 @@ def _cmd_self_check(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_NUMERIC
 
 
+_COMMANDS = {
+    "gen-data": _cmd_gen_data,
+    "train": _cmd_train,
+    "infer": _cmd_infer,
+    "eval": _cmd_eval,
+    "self-check": _cmd_self_check,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "infer":
-            return _cmd_infer(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "self-check":
-            return _cmd_self_check(args)
-        raise _UsageError(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -327,6 +326,9 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -158,6 +158,7 @@ def read_pgm_bytes(path) -> np.ndarray:
     return _read_pnm(path, b"P5", 1)
 
 
+# bench/tracer.py wraps read_pgm and read_mask by name
 def read_pgm(path) -> np.ndarray:
     """Read a P5 file into an H x W float32 array scaled to [0, 1]."""
     return read_pgm_bytes(path).astype(np.float32) / 255.0
@@ -237,36 +238,34 @@ def _source_coords(n_out: int, n_in: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return lo, hi, frac
 
 
-def resize_bilinear(arr: np.ndarray, size: tuple[int, int]) -> np.ndarray:
-    """Bilinear resize of an HxW or HxWxC array to (H_out, W_out)."""
+def _target_size(size) -> tuple[int, int]:
     h_out, w_out = int(size[0]), int(size[1])
     if h_out <= 0 or w_out <= 0:
         raise ValueError(f"target size must be positive, got {size}")
+    return h_out, w_out
+
+
+def resize_bilinear(arr: np.ndarray, size: tuple[int, int]) -> np.ndarray:
+    """Bilinear resize of an HxW or HxWxC array to (H_out, W_out)."""
+    h_out, w_out = _target_size(size)
     h_in, w_in = arr.shape[:2]
     if (h_in, w_in) == (h_out, w_out):
         return np.array(arr, copy=True)
     r_lo, r_hi, r_f = _source_coords(h_out, h_in)
     c_lo, c_hi, c_f = _source_coords(w_out, w_in)
     a = np.asarray(arr, dtype=np.float64)
-    if a.ndim == 2:
-        a = a[:, :, None]
-        squeeze = True
-    else:
-        squeeze = False
-    r_f = r_f[:, None, None]
-    c_f = c_f[None, :, None]
+    channels = (1,) * (a.ndim - 2)  # the weights broadcast over a channel axis, if any
+    r_f = r_f.reshape((-1, 1) + channels)
+    c_f = c_f.reshape((-1,) + channels)
     top = a[r_lo][:, c_lo] * (1 - c_f) + a[r_lo][:, c_hi] * c_f
     bot = a[r_hi][:, c_lo] * (1 - c_f) + a[r_hi][:, c_hi] * c_f
     out = top * (1 - r_f) + bot * r_f
-    out = out.astype(arr.dtype if np.issubdtype(arr.dtype, np.floating) else np.float32)
-    return out[:, :, 0] if squeeze else out
+    return out.astype(arr.dtype if np.issubdtype(arr.dtype, np.floating) else np.float32)
 
 
 def resize_nearest(arr: np.ndarray, size: tuple[int, int]) -> np.ndarray:
     """Nearest-neighbor resize; preserves binary masks exactly."""
-    h_out, w_out = int(size[0]), int(size[1])
-    if h_out <= 0 or w_out <= 0:
-        raise ValueError(f"target size must be positive, got {size}")
+    h_out, w_out = _target_size(size)
     h_in, w_in = arr.shape[:2]
     if (h_in, w_in) == (h_out, w_out):
         return np.array(arr, copy=True)
@@ -451,14 +450,8 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def u8(self, what):
-        return struct.unpack("<B", self.take(1, what))[0]
-
-    def u16(self, what):
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what):
-        return struct.unpack("<I", self.take(4, what))[0]
+    def unpack(self, fmt: str, what: str) -> int:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))[0]
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
@@ -467,34 +460,34 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], NetworkConfig]:
     magic = r.take(len(CHECKPOINT_MAGIC), "magic")
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(f"bad checkpoint magic {magic!r} in {path}")
-    version = r.u32("version")
+    version = r.unpack("<I", "version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint version {version} in {path}; this build reads version "
             f"{CHECKPOINT_VERSION} - re-save the model with a matching build"
         )
-    cfg_len = r.u32("config length")
+    cfg_len = r.unpack("<I", "config length")
     cfg_blob = r.take(cfg_len, "config")
     try:
         cfg = NetworkConfig.from_text(cfg_blob.decode("utf-8"))
     except ValueError as e:  # includes UnicodeDecodeError
         raise CheckpointError(f"bad config in {path}: {e}") from None
-    count = r.u32("entry count")
+    count = r.unpack("<I", "entry count")
     entries: dict[str, np.ndarray] = {}
     # names are quoted with repr, so a corrupt one cannot break a message's line
     for _ in range(count):
-        name_len = r.u16("name length")
+        name_len = r.unpack("<H", "name length")
         try:
             name = r.take(name_len, "name").decode("utf-8")
         except UnicodeDecodeError as e:
             raise CheckpointError(f"bad entry name in {path}: {e}") from None
         if name in entries:
             raise CheckpointError(f"duplicate entry {name!r} in {path}")
-        ndim = r.u8("rank")
-        shape = tuple(r.u32("dimension") for _ in range(ndim))
+        ndim = r.unpack("<B", "rank")
+        shape = tuple(r.unpack("<I", "dimension") for _ in range(ndim))
         n_values = math.prod(shape)  # exact: a corrupt shape must not wrap around
         payload = r.take(4 * n_values, f"payload of {name!r}")
-        crc = r.u32("checksum")
+        crc = r.unpack("<I", "checksum")
         if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
             raise CheckpointError(f"checksum mismatch for entry {name!r} in {path}")
         try:

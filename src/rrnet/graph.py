@@ -72,16 +72,14 @@ def canonical_vertex_order(matrix: np.ndarray) -> np.ndarray:
 
 class ReasoningForward(NamedTuple):
     """The forward pass of graph_reason on vertex rows mc, with every array
-    its closed-form backward reads: Z = mc Wp + bp, P = relu(Z), mu the
-    vertex mean, Y = mu Wl + bl, lambda = relu(Y), the symmetric adjacency
+    its closed-form backward reads: P = relu(mc Wp + bp), mu the vertex
+    mean, lambda = relu(mu Wl + bl), the symmetric adjacency
     A, the degrees A 1 and their clip D, s = D^(-1/2), S = s s^T, the
     Laplacian L = I - A*S, H = L mc and O = H Theta."""
 
     mc: np.ndarray
-    z: np.ndarray
     proj: np.ndarray
     mu: np.ndarray
-    y: np.ndarray
     lam: np.ndarray
     adj: np.ndarray
     deg: np.ndarray
@@ -99,11 +97,9 @@ def reasoning_forward(mc: np.ndarray, p: dict[str, Tensor]) -> ReasoningForward:
     L mc Theta before the relu. graph_reason runs exactly this on the
     canonically ordered rows."""
     n = mc.shape[0]
-    z = mc @ p["proj_w"].data + p["proj_b"].data
-    proj = np.maximum(z, 0)
+    proj = np.maximum(mc @ p["proj_w"].data + p["proj_b"].data, 0)
     mu = mc.mean(axis=0, keepdims=True)
-    y = mu @ p["lambda_w"].data + p["lambda_b"].data
-    lam = np.maximum(y, 0)
+    lam = np.maximum(mu @ p["lambda_w"].data + p["lambda_b"].data, 0)
     adj = (proj * lam) @ proj.T
     # exact symmetry: elementwise (M + M^T) / 2 commutes with rounding
     adj = (adj + adj.T) * 0.5
@@ -116,7 +112,7 @@ def reasoning_forward(mc: np.ndarray, p: dict[str, Tensor]) -> ReasoningForward:
     lap = np.eye(n, dtype=adj.dtype) + adj * scale * -1.0
     h = lap @ mc
     o = h @ p["theta"].data
-    return ReasoningForward(mc, z, proj, mu, y, lam, adj, deg, dc, s, scale, lap, h, o)
+    return ReasoningForward(mc, proj, mu, lam, adj, deg, dc, s, scale, lap, h, o)
 
 
 def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
@@ -151,8 +147,9 @@ def graph_reason(m: Tensor, p: dict[str, Tensor]) -> Tensor:
         # A0 = Q P^T with a symmetric gradient dA0: dQ = dA0 P, and
         # dP = dA0 Q + dQ*lambda = 2 dQ*lambda, since Q = P*lambda
         gq = ga0 @ f.proj
-        gy = (gq * f.proj).sum(axis=0, keepdims=True) * (f.y > 0)
-        gz = gq * f.lam * 2.0 * (f.z > 0)
+        # relu's gradient masks: relu(x) > 0 exactly where x > 0, NaN included
+        gy = (gq * f.proj).sum(axis=0, keepdims=True) * (f.lam > 0)
+        gz = gq * f.lam * 2.0 * (f.proj > 0)
         if wl.requires_grad:
             wl._accumulate(f.mu.T @ gy)
         if bl.requires_grad:
@@ -215,6 +212,6 @@ def non_local_block(x: Tensor, p: dict[str, Tensor]) -> Tensor:
     q = m @ p["theta_w"] + p["theta_b"]
     k = m @ p["phi_w"] + p["phi_b"]
     v = m @ p["g_w"] + p["g_b"]
-    attn = softmax(q @ transpose(k), axis=-1)
+    attn = softmax(q @ transpose(k))
     z = (attn @ v) @ p["out_w"] + p["out_b"]
     return x + reshape(z, (h, w, c))

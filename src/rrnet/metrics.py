@@ -112,19 +112,14 @@ def _histograms(
     return levels[present], whole[:, present], [b[:, :, present] for b in blocks]
 
 
-def _pair_counts(s: np.ndarray, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    levels, key, _ = _check_pair(s, gt)
-    levels, counts, _ = _histograms(levels, key, [])
-    return levels, counts
-
-
 def _map_mean(v: np.ndarray, c: np.ndarray) -> float:
     return float(((c[0] + c[1]) * v).sum()) / int(c.sum())
 
 
+# bench/tracer.py wraps mae, pr_curve, f_measure, s_measure and e_measure by name
 def mae(s: np.ndarray, gt: np.ndarray) -> float:
     """Mean absolute per-pixel difference."""
-    return _mae(*_pair_counts(s, gt))
+    return evaluate_pair(s, gt).mae
 
 
 def _mae(v: np.ndarray, c: np.ndarray) -> float:
@@ -137,11 +132,10 @@ def pr_curve(s: np.ndarray, gt: np.ndarray) -> np.ndarray:
     A pixel counts as predicted positive at threshold t when s >= t. An empty
     prediction has no false positives, so its precision is defined as 1.
     """
-    v, c = _pair_counts(s, gt)
-    n_pos = int(c[1].sum())
-    if n_pos == 0:
+    curve = evaluate_pair(s, gt).pr
+    if curve is None:
         raise ValueError("ground truth has no positive pixels; P-R curve is undefined")
-    return _pr_curve(v, c, n_pos)
+    return curve
 
 
 def _pr_curve(v: np.ndarray, c: np.ndarray, n_pos: int) -> np.ndarray:
@@ -256,8 +250,7 @@ def _region_score(v: np.ndarray, blocks: list[np.ndarray]) -> float:
 
 def s_measure(s: np.ndarray, gt: np.ndarray) -> float:
     """Structure measure: a * object similarity + (1 - a) * region similarity, a = S_ALPHA."""
-    levels, key, fg = _check_pair(s, gt)
-    return _s_measure(*_histograms(levels, key, _splits(fg)))
+    return evaluate_pair(s, gt).s_m
 
 
 def _s_measure(v: np.ndarray, c: np.ndarray, blocks: list[np.ndarray]) -> float:
@@ -277,7 +270,7 @@ def _s_measure(v: np.ndarray, c: np.ndarray, blocks: list[np.ndarray]) -> float:
 
 def e_measure(s: np.ndarray, gt: np.ndarray) -> float:
     """Enhanced-alignment measure on the adaptively binarized prediction."""
-    return _e_measure(*_pair_counts(s, gt))
+    return evaluate_pair(s, gt).e_m
 
 
 def _e_measure(v: np.ndarray, c: np.ndarray) -> float:

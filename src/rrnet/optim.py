@@ -52,6 +52,7 @@ class Adam:
         for _, p in self.params:
             p.zero_grad()
 
+    # bench/tracer.py wraps Adam.step by name; bench/test_bench.py passes grad_scale by keyword
     def step(self, grad_scale: float | None = None) -> float:
         """Apply one update from the accumulated gradients; returns the lr used."""
         self.step_count += 1

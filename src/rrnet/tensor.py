@@ -205,39 +205,17 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __sub__(self, other):
         return add(self, mul(_wrap(other, self.dtype), -1.0))
 
     def __rsub__(self, other):
         return add(_wrap(other, self.dtype), mul(self, -1.0))
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, power(other, -1.0))
-        return mul(self, 1.0 / float(other))
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __pow__(self, p):
         return power(self, p)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self):
-        return mean(self)
 
 
 def _wrap(x, dtype=None) -> Tensor:
@@ -406,15 +384,15 @@ def take_rows(a, indices) -> Tensor:
 # -- reductions ----------------------------------------------------------------
 
 
-def tensor_sum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tensor_sum(a, axis=None) -> Tensor:
     a = _wrap(a)
 
     def backward(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape))
 
-    return _from_op(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return _from_op(a.data.sum(axis=axis), (a,), backward)
 
 
 def mean(a) -> Tensor:
@@ -478,14 +456,15 @@ def clip(a, lo=None, hi=None) -> Tensor:
     return _from_op(np.clip(a.data, lo, hi), (a,), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
+def softmax(a) -> Tensor:
+    """Softmax over the last axis."""
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        a._accumulate(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        a._accumulate(s * (g - (g * s).sum(axis=-1, keepdims=True)))
 
     return _from_op(s, (a,), backward)
 

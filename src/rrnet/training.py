@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataio import AUGMENT_NAMES, Sample, dihedral_variant, resize_sample
-from .network import NetworkConfig, balanced_bce_loss, init_network_params, predict
+from .network import NetworkConfig, balanced_bce_loss, init_network_params, predict  # bench/tracer.py wraps predict by name here
 from .optim import Adam, LinearSchedule
 from .tensor import NumericalError, Tensor, no_grad
 
@@ -46,9 +46,7 @@ class TrainResult:
     log: list[tuple[int, float, float]] = field(default_factory=list)  # (iter, loss, lr)
 
 
-def _batch_loss(
-    batch: Iterable[Sample], params: dict[str, Tensor], cfg: NetworkConfig, with_grad: bool
-) -> float:
+def _batch_loss(batch: Iterable[Sample], params: dict[str, Tensor], cfg: NetworkConfig) -> float:
     total, count = 0.0, 0
     for sample in batch:
         image = Tensor(sample.image)
@@ -57,7 +55,7 @@ def _batch_loss(
         value = loss.item()
         if not np.isfinite(value):
             raise NumericalError(f"non-finite loss on sample '{sample.id}'")
-        if with_grad:
+        if loss.requires_grad:
             loss.backward()
         del pred, loss  # free this sample's graph before the next forward
         total += value
@@ -112,12 +110,12 @@ def train_model(
             log_fn(it, loss, lr)
 
     with no_grad():
-        loss0 = _batch_loss(draws(indices[0]), params, cfg, with_grad=False)
+        loss0 = _batch_loss(draws(indices[0]), params, cfg)
     emit(0, loss0, schedule.lr_at(1))
 
     for it in range(1, iters + 1):
         adam.zero_grad()
-        loss = _batch_loss(draws(indices[it - 1]), params, cfg, with_grad=True)
+        loss = _batch_loss(draws(indices[it - 1]), params, cfg)
         lr = adam.step(grad_scale=1.0 / settings.batch_size)
         if it % settings.log_every == 0 or it == iters:
             emit(it, loss, lr)

@@ -12,7 +12,13 @@ compares it with the file. The artifacts are:
   --size 64`, and its `rrnet infer` PGM of a 96 px `rrnet gen-data` image;
 - the checkpoint of `rrnet train --manifest` on 96 px images at `--size 64`,
   with and without `--no-augment`, so every draw is resized;
-- `rrnet eval`'s `report.json` and `pr.csv` on 6 seeded 64 px map/mask pairs.
+- `rrnet eval`'s `report.json` and `pr.csv` on 6 seeded 64 px map/mask pairs;
+- the per-op walk of one 64 px default-variant training sample
+  (`init_network_params(cfg, 0)`, `synth_dataset(1, 0, 64)[0]`): every op
+  output in tape order as (index, op name, shape, digest), then every leaf
+  gradient after `balanced_bce_loss(...).backward()`, in parameter order.
+  The walk wraps the engine's `_from_op` in this script; the op name is the
+  function that called it. Its digests are cut to 16 hex digits.
 
 The bytes depend on numpy, the BLAS build and the CPU it picks kernels for,
 so the file records those, and the test skips where any of them differs.
@@ -38,7 +44,9 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from rrnet import NetworkConfig, Tensor, init_network_params, no_grad, predict  # noqa: E402
+import rrnet.graph  # noqa: E402
+import rrnet.tensor  # noqa: E402
+from rrnet import NetworkConfig, Tensor, balanced_bce_loss, init_network_params, no_grad, predict  # noqa: E402
 from rrnet.cli import main  # noqa: E402
 from rrnet.dataio import synth_dataset, write_pgm  # noqa: E402
 
@@ -107,8 +115,34 @@ def digests() -> dict[str, str]:
     return found
 
 
+def op_walk() -> tuple[list[str], dict[str, str]]:
+    """The ops of one 64 px training sample, each as "index name shape digest",
+    and its leaf gradients."""
+    ops = []
+    real = rrnet.tensor._from_op
+
+    def recording(data, parents, backward):
+        out = real(data, parents, backward)
+        name = sys._getframe(1).f_code.co_name
+        shape = str(out.shape).replace(" ", "")
+        ops.append(f"{len(ops)} {name} {shape} {_sha(out.data.tobytes())[:16]}")
+        return out
+
+    cfg = NetworkConfig(input_size=(64, 64))
+    params = init_network_params(cfg, 0)
+    sample = synth_dataset(1, 0, 64)[0]
+    rrnet.tensor._from_op = rrnet.graph._from_op = recording
+    try:
+        balanced_bce_loss(predict(Tensor(sample.image), params, cfg).map, sample.mask).backward()
+    finally:
+        rrnet.tensor._from_op = rrnet.graph._from_op = real
+    return ops, {name: _sha(p.grad.tobytes())[:16] for name, p in params.items()}
+
+
 if __name__ == "__main__":
-    text = json.dumps({"environment": environment(), "digests": digests()}, indent=2) + "\n"
+    ops, grads = op_walk()
+    doc = {"environment": environment(), "digests": digests(), "ops": ops, "leaf_grads": grads}
+    text = json.dumps(doc, indent=2) + "\n"
     if sys.argv[1:] == ["--print"]:
         sys.stdout.write(text)
     else:

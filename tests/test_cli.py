@@ -111,6 +111,16 @@ class TestGenData:
         assert err == f"usage error: --size must be at least 1, got {value}\n"
         assert not (tmp_path / "d").exists()
 
+    def test_out_of_memory_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(rrnet.dataio, "synth_dataset", too_large)
+        code, out, err = run(capsys, "gen-data", "--out", str(tmp_path / "d"), "--size", "100000")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "out of memory: an allocation failed\n"
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_zero_iters_checkpoint_equals_initialization(self, tmp_path, capsys):
@@ -156,6 +166,19 @@ class TestTrain:
         assert code == EXIT_NUMERIC
         assert err.startswith("numerical failure:") and "'head.c2.b'" in err
         assert len(err.splitlines()) == 1
+        assert not ck.exists()
+
+    def test_out_of_memory_ends_in_one_line(self, tmp_path, capsys, monkeypatch):
+        message = "Unable to allocate 1.46 TiB for an array with shape (2000, 100000000) and data type int64"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(rrnet.cli, "train_model", too_large)
+        ck = tmp_path / "m.ck"
+        code, out, err = run(capsys, "train", "--synthetic", "1", "--batch", "100000000", "--out", str(ck), *TINY_NET)
+        assert code == EXIT_USAGE
+        assert err == f"out of memory: {message}\n"
         assert not ck.exists()
 
     def test_log_lines_tab_separated(self, tmp_path, capsys):

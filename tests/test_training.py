@@ -82,7 +82,7 @@ class TestTrainModel:
         class Drawn(Exception):
             pass
 
-        def record(batch, params, cfg, with_grad):
+        def record(batch, params, cfg):
             drawn.extend(batch)
             raise Drawn
 
@@ -182,10 +182,10 @@ class TestMemory:
         batch = synth_dataset(3, seed=1, size=32)
         params = init_network_params(TINY, seed=2)
         if with_grad:
-            training._batch_loss(batch, params, TINY, with_grad=True)
+            training._batch_loss(batch, params, TINY)
         else:
             with no_grad():
-                training._batch_loss(batch, params, TINY, with_grad=False)
+                training._batch_loss(batch, params, TINY)
         assert len(maps) == 3
 
 
